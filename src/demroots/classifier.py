@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .cones import on_nonnegative_ray
 from .lattice import LatticeVector, DualVector
 from .rootsystems import nilradical_highest_weights
 from .spherical import ColorSubset, DatumError, SphericalDatum, levi_subset, slice_cone
@@ -119,7 +120,7 @@ def classify(datum: SphericalDatum, subset: ColorSubset,
     for d in subset.complement(datum):
         if d.kappa.is_zero():
             continue
-        if _on_ray(d.kappa, ray):
+        if on_nonnegative_ray(d.kappa, ray):
             movers.append(d)
     if not movers:
         raise DatumError(
@@ -131,15 +132,6 @@ def classify(datum: SphericalDatum, subset: ColorSubset,
                               moved_divisor=moved.name)
     return Classification(verdict=AMBIGUOUS,
                           candidates=tuple(d.name for d in movers))
-
-
-def _on_ray(kappa: DualVector, ray: DualVector) -> bool:
-    n = kappa.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            if kappa.coords[i] * ray.coords[j] != kappa.coords[j] * ray.coords[i]:
-                return False
-    return sum(a * b for a, b in zip(kappa.coords, ray.coords)) > 0
 
 
 def _check_weight(datum: SphericalDatum, mu: LatticeVector) -> None:

@@ -361,6 +361,9 @@ def _move_doc(r) -> dict:
         doc["witness"] = {"mu": list(r.witness.mu.coords),
                           "shift": list(r.witness.shift.coords),
                           "family": r.witness.family}
+    if r.searched:
+        missing, low, high = r.searched
+        doc["searched"] = {"missing": missing, "sup_norm": [low, high]}
     return doc
 
 
@@ -371,6 +374,9 @@ def _move_lines(r) -> list:
         lines.append(f"  demazure root mu = {_vec(r.witness.mu.coords)}")
         lines.append(f"  shift lam = {_vec(r.witness.shift.coords)}")
         lines.append(f"  family: {r.witness.family}")
+    if r.searched:
+        missing, low, high = r.searched
+        lines.append(f"  searched: no {missing} with sup-norm {low}..{high}")
     return lines
 
 

@@ -135,6 +135,70 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def lattice_points(rank: int, bound: int, ge=(), eq=()):
+    """Points x of Z^rank (rank >= 1) with a.x >= b for (a, b) in ge, c.x = d
+    for (c, d) in eq and sup-norm at most bound, as int tuples in (sup-norm,
+    1-norm, lex) order.
+
+    Shells of equal sup-norm come out in turn and only each shell's surface is
+    walked, so a caller that stops at its first point pays for the shells up
+    to it, and a search without a hit costs one box. Each coordinate's range
+    is cut to the interval that keeps every row satisfiable.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    rows = [(tuple(a), b) for a, b in ge]
+    rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
+    if any(b > 0 for a, b in rows if not any(a)):
+        return
+    for s in range(bound + 1):
+        hits = []
+        # Shell s is the disjoint union over `face` of the points whose first
+        # coordinate of absolute value s is x[face]; s = 0 is the origin alone.
+        for face in range(rank) if s else (None,):
+            widths = [0] * rank if face is None else [s - 1] * face + [s] * (rank - face)
+            _walk_face(rows, widths, face, hits)
+        hits.sort(key=lambda x: (sum(map(abs, x)), x))
+        yield from hits
+
+
+def _walk_face(rows, widths, face, hits):
+    """Append to hits each point of the box |x[k]| <= widths[k] that satisfies
+    every row a.x >= b, with x[face] restricted to +-widths[face]."""
+    rank = len(widths)
+    active = [[] for _ in range(rank)]  # (row, a[k], max of |a[k+1:].x[k+1:]|)
+    for r, (a, _) in enumerate(rows):
+        rest = 0
+        for k in reversed(range(rank)):
+            if a[k]:
+                active[k].append((r, a[k], rest))
+            rest += widths[k] * abs(a[k])
+    need = [b for _, b in rows]  # what each row still needs from the free coordinates
+    x = [0] * rank
+
+    def walk(k):
+        lo, hi = -widths[k], widths[k]
+        for r, a, rest in active[k]:  # a * x[k] >= need[r] - rest
+            if a > 0:
+                lo = max(lo, -((rest - need[r]) // a))
+            else:
+                hi = min(hi, (need[r] - rest) // a)
+        values = range(lo, hi + 1) if k != face else \
+            [v for v in (-widths[k], widths[k]) if lo <= v <= hi]
+        for v in values:
+            x[k] = v
+            if k == rank - 1:
+                hits.append(tuple(x))
+                continue
+            for r, a, _ in active[k]:
+                need[r] -= a * v
+            walk(k + 1)
+            for r, a, _ in active[k]:
+                need[r] += a * v
+
+    walk(0)
+
+
 def content(coords: Iterable[int]) -> int:
     g = 0
     for c in coords:

@@ -22,12 +22,12 @@ the record), matching the cone machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .cones import on_nonnegative_ray
-from .lattice import DualVector, LatticeVector, pairing, primitive
+from .lattice import DualVector, LatticeVector, lattice_points, primitive
 from .spherical import ColorSubset, SphericalDatum, full_cone, slice_cone
+from .toric import ray_root_points
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -60,6 +60,8 @@ class MoveReport:
     check: RayCheck
     status: str
     witness: Optional[MoveWitness] = None
+    # inconclusive only: (what was not found, lowest, highest sup-norm searched)
+    searched: Optional[tuple] = None
 
 
 def check_divisor_ray(datum: SphericalDatum, name: str) -> RayCheck:
@@ -93,69 +95,19 @@ def check_divisor_ray(datum: SphericalDatum, name: str) -> RayCheck:
                     reason="the divisor alone spans an extremal ray")
 
 
-def _selection_key(coords):
-    return (max(abs(c) for c in coords), sum(abs(c) for c in coords), coords)
-
-
-def _minimal_demazure_root(cone, rho, bound):
-    """Smallest mu with cone pairing -1 on rho and >= 0 on the other rays."""
-    others = [r for r in cone.extremal_rays if r != rho]
-    rank = cone.rank
-    best = None
-    pivot = max(range(rank), key=lambda i: abs(rho.coords[i]))
-    piv = rho.coords[pivot]
-    for free in product(range(-bound, bound + 1), repeat=rank - 1):
-        it = iter(free)
-        coords = [0 if i == pivot else next(it) for i in range(rank)]
-        partial = sum(rho.coords[i] * coords[i] for i in range(rank))
-        num = -1 - partial
-        if num % piv != 0:
-            continue
-        coords[pivot] = num // piv
-        if abs(coords[pivot]) > bound:
-            continue
-        mu = LatticeVector(tuple(coords), lattice=cone.lattice)
-        if any(pairing(r, mu) < 0 for r in others):
-            continue
-        key = _selection_key(mu.coords)
-        if best is None or key < best[0]:
-            best = (key, mu)
-    return None if best is None else best[1]
-
-
 def _minimal_shift(datum, subset, rho, bound):
-    """Smallest nonzero lam vanishing on rho, in the weight monoid, and
-    pairing at least 1 with every removed color.
-
-    Scans sup-norm shells outward and stops at the first shell with a hit;
-    the selection order puts sup-norm first, so nothing smaller is skipped.
-    """
-    removed = subset.resolve(datum)
-    cone = full_cone(datum)
-    rank = datum.rank
-    for shell in range(1, bound + 1):
-        best = None
-        for coords in product(range(-shell, shell + 1), repeat=rank):
-            if max(abs(c) for c in coords) != shell:
-                continue
-            lam = LatticeVector(coords, lattice="M")
-            if pairing(rho, lam) != 0:
-                continue
-            if not cone.dual_contains(lam):
-                continue
-            if any(pairing(c.kappa, lam) < 1 for c in removed):
-                continue
-            key = _selection_key(coords)
-            if best is None or key < best[0]:
-                best = (key, lam)
-        if best is not None:
-            return best[1]
-    return None
+    """Coordinates of the smallest nonzero lam vanishing on rho, in the weight
+    monoid, and pairing at least 1 with every removed color."""
+    ge = [(g.coords, 0) for g in full_cone(datum).generators]
+    ge += [(c.kappa.coords, 1) for c in subset.resolve(datum)]
+    points = lattice_points(datum.rank, bound, ge=ge, eq=[(rho.coords, 0)])
+    return next((x for x in points if any(x)), None)
 
 
 def find_witness(datum: SphericalDatum, name: str,
                  search_bound: int = 50) -> MoveReport:
     """Ray test, then bounded search for the Demazure root and weight shift."""
+    _check_bound(search_bound)
     check = check_divisor_ray(datum, name)
     if check.status != HOLDS:
         return MoveReport(divisor=name, check=check, status=check.status)
@@ -170,23 +122,32 @@ def find_witness(datum: SphericalDatum, name: str,
                           reason="ray is not extremal on the open chart")
         return MoveReport(divisor=name, check=failed, status=FAILS)
 
-    mu = _minimal_demazure_root(chart_cone, rho, search_bound)
+    mu = next(ray_root_points(chart_cone, rho, search_bound), None)
     if mu is None:
-        return MoveReport(divisor=name, check=check, status=INCONCLUSIVE)
+        return MoveReport(divisor=name, check=check, status=INCONCLUSIVE,
+                          searched=("demazure root", 0, search_bound))
     lam = _minimal_shift(datum, subset, rho, search_bound)
     if lam is None:
-        return MoveReport(divisor=name, check=check, status=INCONCLUSIVE)
+        return MoveReport(divisor=name, check=check, status=INCONCLUSIVE,
+                          searched=("shift", 1, search_bound))
 
-    family = (f"N*{_fmt(lam.coords)} + {_fmt(mu.coords)} for all integers "
+    family = (f"N*{_fmt(lam)} + {_fmt(mu)} for all integers "
               "N >= some N0 (N0 not determined by this record)")
-    witness = MoveWitness(divisor=name, ray=rho, mu=mu, shift=lam, family=family)
+    witness = MoveWitness(divisor=name, ray=rho, mu=LatticeVector(mu, "M"),
+                          shift=LatticeVector(lam, "M"), family=family)
     return MoveReport(divisor=name, check=check, status=WITNESS, witness=witness)
 
 
 def gstable_report(datum: SphericalDatum, search_bound: int = 50) -> tuple:
     """One MoveReport per G-stable divisor, in record order."""
+    _check_bound(search_bound)
     return tuple(find_witness(datum, d.name, search_bound)
                  for d in datum.g_stable_divisors)
+
+
+def _check_bound(search_bound: int) -> None:
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
 
 
 def _fmt(coords) -> str:

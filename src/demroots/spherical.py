@@ -27,6 +27,8 @@ COLOR = "color"
 G_STABLE = "g-stable"
 COLOR_TYPES = ("U", "T", "N")
 
+_CACHED_DATA = 64  # records whose cones and monoids stay cached
+
 
 class DatumError(ValueError):
     """A record violates the contract of the operation it was passed to."""
@@ -211,13 +213,13 @@ def validate(datum: SphericalDatum) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_DATA)
 def full_cone(datum: SphericalDatum) -> Cone:
     """The cone spanned by the valuation vectors of all B-stable divisors."""
     return build_cone([d.kappa for d in datum.divisors], rank=datum.rank, lattice="M")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_DATA)
 def weight_monoid(datum: SphericalDatum) -> WeightMonoid:
     """Hilbert basis of the weights with nonnegative order along every divisor."""
     return dual_monoid(full_cone(datum))
@@ -246,14 +248,14 @@ def levi_subset(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> f
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_DATA)
 def slice_cone(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> Cone:
     """Cone of valuation vectors of the divisors remaining on the open chart."""
     kappas = [d.kappa for d in subset.complement(datum)]
     return build_cone(kappas, rank=datum.rank, lattice="M")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_DATA)
 def slice_monoid(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> WeightMonoid:
     """Weight monoid of the chart's toric slice: Hilbert basis of its dual cone."""
     return dual_monoid(slice_cone(datum, subset))

@@ -10,14 +10,13 @@ t gives a polynomial automorphism with binomial coefficients.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional
 
 from .cones import Cone
-from .lattice import DualVector, LatticeVector, RankMismatch, Sublattice, pairing
+from .lattice import DualVector, LatticeVector, RankMismatch, Sublattice, lattice_points, pairing
 
 
 def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
@@ -64,57 +63,32 @@ def demazure_root(cone: Cone, mu: LatticeVector) -> DemazureRoot:
     return DemazureRoot(mu, rho, cone)
 
 
+def ray_root_points(cone: Cone, rho: DualVector, bound: int):
+    """Coordinates of the roots pinning the extremal ray rho, sup-norm <= bound,
+    in (sup-norm, 1-norm, lex) order: <rho, mu> = -1, the other rays >= 0."""
+    others = [(r.coords, 0) for r in cone.extremal_rays if r != rho]
+    return lattice_points(cone.rank, bound, ge=others, eq=[(rho.coords, -1)])
+
+
 def enumerate_demazure_roots(cone: Cone, bound: int,
                              sublattice: Optional[Sublattice] = None) -> tuple:
     """All Demazure roots with sup-norm <= bound, grouped by ray, lex within.
 
-    For each extremal ray the hyperplane <rho, mu> = -1 is sliced through the
-    box rather than scanning the whole box. With a sublattice, only roots lying
-    in it are kept.
+    With a sublattice, only roots lying in it are kept.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if sublattice is not None and sublattice.ambient_rank != cone.rank:
         raise RankMismatch("sublattice ambient rank does not match the cone")
-    out = []
-    n = cone.rank
-    for rho in cone.extremal_rays:
-        others = [r for r in cone.extremal_rays if r != rho]
-        pivot = max(range(n), key=lambda i: abs(rho.coords[i]))
-        p = rho.coords[pivot]
-        free = [i for i in range(n) if i != pivot]
-        hits = []
-        for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-            rest = sum(rho.coords[i] * v for i, v in zip(free, values))
-            num = -1 - rest
-            if num % p != 0:
-                continue
-            x = num // p
-            if abs(x) > bound:
-                continue
-            coords = [0] * n
-            for i, v in zip(free, values):
-                coords[i] = v
-            coords[pivot] = x
-            mu = LatticeVector(tuple(coords), cone.lattice)
-            if any(pairing(r, mu) < 0 for r in others):
-                continue
-            if sublattice is not None and not sublattice.contains(mu):
-                continue
-            hits.append(mu)
-        for mu in sorted(hits, key=lambda m: m.coords):
-            out.append(DemazureRoot(mu, rho, cone))
-    return tuple(out)
+    roots = ((rho, LatticeVector(coords, cone.lattice)) for rho in cone.extremal_rays
+             for coords in sorted(ray_root_points(cone, rho, bound)))
+    return tuple(DemazureRoot(mu, rho, cone) for rho, mu in roots
+                 if sublattice is None or sublattice.contains(mu))
 
 
 # ---------------------------------------------------------------------------
 # Semigroup algebra elements and the derivation action.
 # ---------------------------------------------------------------------------
-
-
-def _as_fraction(x) -> Fraction:
-    f = Fraction(x)
-    return f
 
 
 @dataclass(frozen=True)
@@ -134,7 +108,7 @@ class AlgebraElement:
         for lam, c in mapping.items():
             if not isinstance(lam, LatticeVector):
                 lam = LatticeVector(tuple(lam))
-            c = _as_fraction(c)
+            c = Fraction(c)
             if c != 0:
                 items.append((lam, c))
         items.sort(key=lambda t: t[0].coords)
@@ -183,7 +157,7 @@ class AlgebraElement:
         return self.scale(other)
 
     def scale(self, c) -> "AlgebraElement":
-        c = _as_fraction(c)
+        c = Fraction(c)
         return AlgebraElement.from_dict({lam: c * v for lam, v in self.terms})
 
 
@@ -208,7 +182,7 @@ def apply_derivation(root: DemazureRoot, element: AlgebraElement,
     derivation by a fixed rational.
     """
     check_supported(root.cone, element)
-    scale = _as_fraction(scale)
+    scale = Fraction(scale)
     acc = {}
     for lam, c in element.terms:
         d = pairing(root.rho, lam)

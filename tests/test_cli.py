@@ -205,3 +205,22 @@ class TestReports:
         out = run_cli("move-divisor", QUAD, "--divisor", "axis-x",
                       "--search-bound", "1").stdout
         assert "witness" in out
+
+    def test_negative_search_bound(self):
+        for cmd in (("move-divisor", QUAD, "--divisor", "axis-x"),
+                    ("report-gstable", QUAD)):
+            proc = run_cli(*cmd, "--search-bound", "-1", expect=1)
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines() == [
+                "error: search bound must be nonnegative, got -1"]
+
+    def test_inconclusive_shows_searched_range(self):
+        out = run_cli("move-divisor", SKEW, "--divisor", "edge-b",
+                      "--search-bound", "1").stdout
+        assert "divisor edge-b: inconclusive" in out
+        assert "  searched: no shift with sup-norm 1..1" in out
+        doc = json.loads(run_cli("report-gstable", QUAD, "--search-bound", "0",
+                                 "--format", "json").stdout)
+        for row in doc["divisors"]:
+            assert row["searched"] == {"missing": "demazure root",
+                                       "sup_norm": [0, 0]}

@@ -1,10 +1,14 @@
+import json
+import time
+
 import pytest
 
 from demroots.catalog import CATALOG
+from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, Sublattice
 from demroots.rootsystems import torus_root_system
 from demroots.search import (check_divisor_ray, find_witness, gstable_report)
-from demroots.spherical import Divisor, SphericalDatum
+from demroots.spherical import Divisor, SphericalDatum, validate
 
 
 class TestRayCheck:
@@ -120,6 +124,21 @@ class TestFindWitness:
         r = find_witness(CATALOG["torus-quadrant"], "axis-x", search_bound=0)
         assert r.status == "inconclusive"
         assert r.witness is None
+        assert r.searched == ("demazure root", 0, 0)
+
+    def test_inconclusive_shift_names_its_range(self):
+        # mu = (1, -1) lies in shell 1, the smallest shift (2, -1) in shell 2.
+        r = find_witness(CATALOG["torus-skew"], "edge-b", search_bound=1)
+        assert r.status == "inconclusive"
+        assert r.searched == ("shift", 1, 1)
+        assert find_witness(CATALOG["torus-skew"], "edge-b").searched is None
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_witness(CATALOG["torus-quadrant"], "axis-x", search_bound=-1)
+        # rejected before the ray test, which would end the search early
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_witness(CATALOG["sl2-plane"], "line", search_bound=-1)
 
     def test_shift_positive_on_removed_colors(self):
         d = CATALOG["sl2-times-torus"]
@@ -142,6 +161,32 @@ class TestGstableReport:
     def test_mixed_statuses(self):
         rows = gstable_report(CATALOG["shared-ray"])
         assert [r.status for r in rows] == ["fails", "fails"]
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gstable_report(CATALOG["torus-space"], search_bound=-1)
+        # also on a record without G-stable divisors, where nothing is searched
+        with pytest.raises(ValueError, match="nonnegative"):
+            gstable_report(CATALOG["sl2-plane"], search_bound=-1)
+
+    def test_rank5_record_within_budget(self):
+        kappas = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                  (0, 0, 0, 1, 0), (1, 1, 1, 1, -2), (0, 0, 0, 0, 1),
+                  (2, -1, 0, 3, 1)]
+        doc = {"cartan": {"ambient_rank": 5, "simple_roots": [],
+                          "simple_coroots": []},
+               "lattice_M": {"basis_rows": [[int(i == j) for j in range(5)]
+                                            for i in range(5)]},
+               "divisors": [{"name": f"d{i}", "kappa": list(k), "kind": "g-stable"}
+                            for i, k in enumerate(kappas)]}
+        datum = parse_datum(json.dumps(doc))
+        start = time.perf_counter()
+        rows = gstable_report(datum)
+        elapsed = time.perf_counter() - start
+        assert [r.status for r in rows] == ["witness"] * 7
+        assert rows[3].witness.mu.coords == (2, 0, 0, -1, 0)
+        assert elapsed < 2.0, f"rank-5 report took {elapsed:.2f} s"
+        assert validate(datum).ok
 
     def test_halfplane(self):
         rows = gstable_report(CATALOG["torus-halfplane"])
