@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -220,7 +220,10 @@ def _cmd_roots(args) -> int:
 def _parse_term(text: str, rank: int):
     if ":" in text:
         coeff_text, weight_text = text.split(":", 1)
-        coeff = Fraction(coeff_text)
+        try:
+            coeff = Fraction(coeff_text)
+        except ZeroDivisionError:
+            raise ValueError(f"--term coefficient {coeff_text} divides by zero") from None
     else:
         coeff, weight_text = Fraction(1), text
     coords = _csv_ints(weight_text, "--term weight")

@@ -9,13 +9,15 @@ are all first-class.
 
 ``dual_monoid`` computes the Hilbert basis of the monoid of lattice points of
 the dual cone: unit directions (when the dual cone has lineality) are returned
-as a lattice basis and its negatives, and the pointed part is generated by
-zonotope lattice points and pruned to the irreducible elements.
+as a lattice basis and its negatives, and the pointed part is found by degree.
+Its candidates are the lattice points of the generator zonotope's box whose
+degree (the sum of the inequalities) is at most that of dim rays; in degree
+order, a candidate is kept unless an element kept before it has row values
+componentwise at most its own. Boxes over _ZONOTOPE_CAP points are refused.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,6 +26,7 @@ from .lattice import (
     LatticeVector,
     RankMismatch,
     Sublattice,
+    box_points,
     dot,
     integer_kernel,
     matrix_rank,
@@ -298,14 +301,16 @@ class WeightMonoid:
 _ZONOTOPE_CAP = 2_000_000
 
 
-def _pointed_hilbert_basis(ray_gens: Sequence[tuple], member) -> list:
-    """Irreducible generators of a pointed monoid {lattice points of a cone}.
+def _pointed_hilbert_basis(rows: Sequence[tuple], ray_gens: Sequence[tuple]) -> list:
+    """Irreducible elements of {x in Z^dim : <row, x> >= 0 for all rows}, a
+    pointed cone generated by the primitive ray_gens.
 
-    ray_gens generate the cone; member decides cone membership of a lattice
-    point. Candidates are the lattice points of the generator zonotope
-    (Gordan's construction); an element is reducible iff subtracting some
-    nonzero candidate leaves a nonzero monoid element, which is a complete test
-    because the monoid is saturated.
+    The degree, the sum of the rows, is positive on the cone. By Caratheodory
+    an irreducible other than a ray lies in the half-open parallelepiped of at
+    most dim independent rays, which bounds its degree by the dim largest ray
+    degrees. The monoid is saturated, so x - b lies in it iff each row value of
+    x - b is nonnegative: in degree order, a candidate is irreducible iff no
+    irreducible found before it has values componentwise at most its own.
     """
     if not ray_gens:
         return []
@@ -317,39 +322,33 @@ def _pointed_hilbert_basis(ray_gens: Sequence[tuple], member) -> list:
         size *= b - a + 1
         if size > _ZONOTOPE_CAP:
             raise ValueError("zonotope lattice-point enumeration is too large")
-    candidates = [p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-                  if any(p) and member(p)]
+    rows = list(dict.fromkeys(primitive_tuple(f) for f in rows))
+    degree = tuple(map(sum, zip(*rows)))
+    top = sum(sorted((dot(degree, g) for g in ray_gens), reverse=True)[:dim])
+    ge = [(f, 0) for f in rows] + [(tuple(-d for d in degree), -top)]
+    graded = sorted(((tuple(dot(f, p) for f in rows), p)
+                     for p in box_points(lo, hi, ge) if any(p)), key=lambda c: sum(c[0]))
     basis = []
-    for x in candidates:
-        reducible = False
-        for c in candidates:
-            if c == x:
-                continue
-            diff = tuple(a - b for a, b in zip(x, c))
-            if any(diff) and member(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(x)
-    return sorted(basis)
+    for values, p in graded:
+        if not any(all(a <= b for a, b in zip(v, values)) for v, _ in basis):
+            basis.append((values, p))
+    return sorted(p for _, p in basis)
 
 
-def _monoid_basis(functionals: Sequence[tuple], rank: int) -> list:
+def _monoid_basis(functionals: Sequence[tuple], rank: int, v_rep=None) -> list:
     """Minimal generating set of {y in Z^rank : <f, y> >= 0 for all functionals}.
 
-    Units (the lineality of the solution cone) contribute a lattice basis and
-    its negatives; the pointed quotient contributes lifted irreducibles.
+    v_rep is the (lineality, rays) pair of _dual_v_representation on the
+    functionals when the caller has it already. Units (the lineality of the
+    solution cone) contribute a lattice basis and its negatives; the pointed
+    quotient contributes lifted irreducibles.
     """
     halves = [tuple(f) for f in functionals if any(f)]
-    units = integer_kernel(halves, rank) if halves else integer_kernel([], rank)
+    lineality, rays = v_rep or _dual_v_representation(halves, rank)
+    if not lineality:
+        return _pointed_hilbert_basis(halves, rays)
 
-    def member(vec):
-        return all(dot(f, vec) >= 0 for f in halves)
-
-    if not units:
-        _, rays = _dual_v_representation(halves, rank)
-        return sorted(_pointed_hilbert_basis(rays, member))
-
+    units = integer_kernel(halves, rank)
     basis = sorted({v for u in units for v in (u, tuple(-x for x in u))})
     k = len(units)
     if k == rank:
@@ -358,30 +357,16 @@ def _monoid_basis(functionals: Sequence[tuple], rank: int) -> list:
     _, D, V = smith_normal_form(units)
     assert all(D[i][i] == 1 for i in range(k)), "kernel lattice must be saturated"
     Vinv = unimodular_inverse(V)
-    # x expands as (x*V) over the rows of V^-1; the first k rows span the units.
-    section_rows = [Vinv[i] for i in range(k, rank)]
+    # x expands as (x*V) over the rows of V^-1; the first k rows span the units,
+    # so y -> sum y[i] * section[i] lifts the quotient and f pulls back to f o lift.
+    section = [Vinv[i] for i in range(k, rank)]
+    columns = [tuple(V[i][j] for i in range(rank)) for j in range(k, rank)]
+    quotient_rows = [tuple(dot(f, s) for s in section) for f in halves]
+    quotient_rays = sorted({primitive_tuple(p) for p in (
+        tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
 
-    def lift(y):
-        coords = [0] * rank
-        for c, row in zip(y, section_rows):
-            for j in range(rank):
-                coords[j] += c * row[j]
-        return tuple(coords)
-
-    def project(vec):
-        return tuple(dot(vec, tuple(V[i][j] for i in range(rank)))
-                     for j in range(k, rank))
-
-    _, rays = _dual_v_representation(halves, rank)
-    quotient_rays = []
-    for r in rays:
-        p = project(r)
-        if any(p):
-            quotient_rays.append(primitive_tuple(p))
-    quotient_rays = sorted(set(quotient_rays))
-
-    pointed = _pointed_hilbert_basis(quotient_rays, lambda y: member(lift(y)))
-    basis.extend(lift(y) for y in pointed)
+    for y in _pointed_hilbert_basis(quotient_rows, quotient_rays):
+        basis.append(tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank)))
     return sorted(basis)
 
 
@@ -394,7 +379,7 @@ def dual_monoid(cone: Cone, sublattice: Optional[Sublattice] = None) -> WeightMo
     """
     functionals = [g.coords for g in cone.generators if not g.is_zero()]
     if sublattice is None:
-        basis = _monoid_basis(functionals, cone.rank)
+        basis = _monoid_basis(functionals, cone.rank, (cone.dual_lineality, cone.dual_rays))
         return WeightMonoid(cone, tuple(LatticeVector(v, cone.lattice) for v in basis))
 
     if sublattice.ambient_rank != cone.rank:

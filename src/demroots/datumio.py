@@ -31,6 +31,8 @@ def parse_datum(text: str) -> SphericalDatum:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatumFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DatumFormatError("not valid JSON: nested too deeply") from exc
     return _parse_document(doc)
 
 

@@ -149,42 +149,50 @@ def lattice_points(rank: int, bound: int, ge=(), eq=()):
         raise ValueError(f"bound must be nonnegative, got {bound}")
     rows = [(tuple(a), b) for a, b in ge]
     rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
-    if any(b > 0 for a, b in rows if not any(a)):
-        return
     for s in range(bound + 1):
         hits = []
         # Shell s is the disjoint union over `face` of the points whose first
         # coordinate of absolute value s is x[face]; s = 0 is the origin alone.
         for face in range(rank) if s else (None,):
             widths = [0] * rank if face is None else [s - 1] * face + [s] * (rank - face)
-            _walk_face(rows, widths, face, hits)
+            _walk(rows, [-w for w in widths], widths, face, hits)
         hits.sort(key=lambda x: (sum(map(abs, x)), x))
         yield from hits
 
 
-def _walk_face(rows, widths, face, hits):
-    """Append to hits each point of the box |x[k]| <= widths[k] that satisfies
-    every row a.x >= b, with x[face] restricted to +-widths[face]."""
-    rank = len(widths)
-    active = [[] for _ in range(rank)]  # (row, a[k], max of |a[k+1:].x[k+1:]|)
+def box_points(lo: Sequence[int], hi: Sequence[int], ge=()) -> list:
+    """Points x of Z^n (n >= 1) with lo <= x <= hi and a.x >= b for (a, b) in
+    ge, as int tuples in lex order; ranges are cut as in lattice_points."""
+    hits = []
+    _walk([(tuple(a), b) for a, b in ge], list(lo), list(hi), None, hits)
+    return hits
+
+
+def _walk(rows, lo, hi, face, hits):
+    """Append to hits, in lex order, each point of the box lo <= x <= hi that
+    satisfies every row a.x >= b, with x[face] restricted to its two ends."""
+    if any(b > 0 for a, b in rows if not any(a)):
+        return
+    rank = len(lo)
+    active = [[] for _ in range(rank)]  # (row, a[k], max of a[k+1:].x[k+1:])
     for r, (a, _) in enumerate(rows):
         rest = 0
         for k in reversed(range(rank)):
             if a[k]:
                 active[k].append((r, a[k], rest))
-            rest += widths[k] * abs(a[k])
+            rest += a[k] * (hi[k] if a[k] > 0 else lo[k])
     need = [b for _, b in rows]  # what each row still needs from the free coordinates
     x = [0] * rank
 
     def walk(k):
-        lo, hi = -widths[k], widths[k]
+        low, high = lo[k], hi[k]
         for r, a, rest in active[k]:  # a * x[k] >= need[r] - rest
             if a > 0:
-                lo = max(lo, -((rest - need[r]) // a))
+                low = max(low, -((rest - need[r]) // a))
             else:
-                hi = min(hi, (need[r] - rest) // a)
-        values = range(lo, hi + 1) if k != face else \
-            [v for v in (-widths[k], widths[k]) if lo <= v <= hi]
+                high = min(high, (need[r] - rest) // a)
+        values = range(low, high + 1) if k != face else \
+            [v for v in (lo[k], hi[k]) if low <= v <= high]
         for v in values:
             x[k] = v
             if k == rank - 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Optional
 
 from .cones import Cone
@@ -248,19 +248,19 @@ class FlowPolynomial:
 
 def exponentiate(root: DemazureRoot, element: AlgebraElement,
                  scale=1) -> FlowPolynomial:
-    """exp(t * derivation) applied to the element, as a polynomial in t.
+    """exp(t * scale * derivation) applied to the element, as a polynomial in t.
 
-    Nilpotency makes the sum finite: the t^k coefficient is derivation^k of the
-    element divided by k factorial.
+    The derivation lowers <rho, .> by one, so its k-th power over k! sends
+    f_lambda to C(<rho, lambda>, k) f_{lambda + k mu}, and distinct lambda give
+    distinct lambda + k mu: the t^k coefficient is the sum of these times scale^k.
     """
     check_supported(root.cone, element)
-    coeffs = [element]
-    current = element
-    k = 1
-    while True:
-        current = apply_derivation(root, current, scale=scale)
-        if current.is_zero():
-            break
-        coeffs.append(current.scale(Fraction(1, factorial(k))))
-        k += 1
+    scale = Fraction(scale)
+    terms = [(lam, c, pairing(root.rho, lam)) for lam, c in element.terms]
+    top = max((n for _, _, n in terms), default=0)
+    coeffs = []
+    for k in range(top + 1):
+        shift, factor = k * root.mu, scale ** k
+        coeffs.append(AlgebraElement.from_dict(
+            {lam + shift: comb(n, k) * factor * c for lam, c, n in terms if n >= k}))
     return FlowPolynomial(tuple(coeffs))

@@ -76,6 +76,46 @@ class TestGuards:
         assert "no divisor named" in proc.stderr
 
 
+def assert_one_error(proc, text):
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert text in lines[0]
+
+
+class TestNoTraceback:
+    def test_missing_file(self, tmp_path):
+        proc = run_cli("validate", str(tmp_path / "absent.json"), expect=1)
+        assert_one_error(proc, "No such file")
+
+    def test_directory_for_file(self, tmp_path):
+        proc = run_cli("monoid", str(tmp_path), expect=1)
+        assert_one_error(proc, "Is a directory")
+
+    def test_zero_denominator(self):
+        proc = run_cli("exp", "--cone", "1,0;0,1", "--root=-1,0",
+                       "--term", "1/0:1,1", expect=1)
+        assert_one_error(proc, "divides by zero")
+
+    def test_deeply_nested_json(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        proc = run_cli("validate", str(p), expect=1)
+        assert_one_error(proc, "nested too deeply")
+
+    def test_rank5_record_over_the_cap(self, tmp_path):
+        kappas = [[int(i == j) for j in range(5)] for i in range(4)] + \
+            [[1, 1, 1, 1, -2], [0, 0, 0, 0, 1], [2, -1, 0, 3, 1], [5, 7, 0, 0, -9]]
+        doc = {"cartan": {"ambient_rank": 5, "simple_roots": [], "simple_coroots": []},
+               "lattice_M": {"basis_rows": [[int(i == j) for j in range(5)]
+                                            for i in range(5)]},
+               "divisors": [{"name": f"d{i}", "kappa": k, "kind": "g-stable"}
+                            for i, k in enumerate(kappas)]}
+        p = tmp_path / "rank5.json"
+        p.write_text(json.dumps(doc))
+        proc = run_cli("monoid", str(p), expect=1)
+        assert_one_error(proc, "too large")
+
+
 class TestMonoid:
     def test_full(self):
         out = run_cli("monoid", SL2C).stdout

@@ -1,4 +1,4 @@
-"""The shell-ordered lattice-point enumerator against box scans from definitions.
+"""The lattice-point enumerators against box scans from definitions.
 
 Each oracle here scans the whole box [-bound, bound]^rank, keeps the points
 that satisfy the defining conditions and orders them by (sup-norm, 1-norm,
@@ -13,7 +13,7 @@ import pytest
 
 from demroots.cones import ContainsLine
 from demroots.datumio import parse_datum
-from demroots.lattice import DualVector, lattice_points
+from demroots.lattice import DualVector, box_points, lattice_points
 from demroots.search import _minimal_shift
 from demroots.spherical import ColorSubset, full_cone
 from demroots.toric import enumerate_demazure_roots, ray_root_points
@@ -49,6 +49,19 @@ def test_lattice_points_match_box_scan():
                        if all(dot(a, x) >= b for a, b in ge)
                        and all(dot(c, x) == d for c, d in eq)), key=key)
         assert list(lattice_points(rank, bound, ge, eq)) == want, (rank, bound, ge, eq)
+
+
+def test_box_points_match_box_scan():
+    rnd = random.Random(12)
+    for _ in range(200):
+        rank = rnd.randint(1, 4)
+        lo = [rnd.randint(-3, 1) for _ in range(rank)]
+        hi = [a + rnd.randint(-1, SCAN_BOUND[rank]) for a in lo]
+        ge = [(tuple(rnd.randint(-3, 3) for _ in range(rank)), rnd.randint(-3, 3))
+              for _ in range(rnd.randint(0, 4))]
+        want = [x for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+                if all(dot(a, x) >= b for a, b in ge)]
+        assert box_points(lo, hi, ge) == want, (lo, hi, ge)
 
 
 def test_lattice_points_rejects_negative_bound():

@@ -1,0 +1,127 @@
+"""Hilbert bases by degree, against the zonotope scan they replace.
+
+The reference below is the whole-box construction: every lattice point of the
+zonotope of the quotient rays, each tested against all the others. It shares
+the units basis and the section with the library, so the two answers must be
+equal as lists, on cones with and without lineality.
+"""
+
+import json
+import random
+import time
+from itertools import product
+
+from demroots.cones import (ContainsLine, _dual_v_representation, _monoid_basis,
+                            build_cone, dual_monoid)
+from demroots.datumio import parse_datum
+from demroots.lattice import (DualVector, integer_kernel, matrix_rank, primitive_tuple,
+                              smith_normal_form, unimodular_inverse)
+from demroots.spherical import validate, weight_monoid
+
+from conftest import dot, verify_hilbert_basis
+
+
+def _reference_basis(functionals, rank):
+    halves = [tuple(f) for f in functionals if any(f)]
+    units = integer_kernel(halves, rank)
+    basis = sorted({v for u in units for v in (u, tuple(-x for x in u))})
+    k = len(units)
+    if k == rank:
+        return basis
+    if k:
+        _, _, V = smith_normal_form(units)
+        section = unimodular_inverse(V)[k:]
+        columns = [tuple(V[i][j] for i in range(rank)) for j in range(k, rank)]
+    else:
+        section = columns = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+    def lift(y):
+        return tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank))
+
+    def member(y):
+        return all(dot(f, lift(y)) >= 0 for f in halves)
+
+    _, rays = _dual_v_representation(halves, rank)
+    gens = sorted({primitive_tuple(p) for p in
+                   (tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
+    box = [range(sum(min(0, g[j]) for g in gens), sum(max(0, g[j]) for g in gens) + 1)
+           for j in range(rank - k)]
+    candidates = [p for p in product(*box) if any(p) and member(p)]
+    for x in candidates:
+        if not any(c != x and member(tuple(a - b for a, b in zip(x, c)))
+                   for c in candidates):
+            basis.append(lift(x))
+    return sorted(basis)
+
+
+def _zonotope_box(rays):
+    size = 1
+    for j in range(len(rays[0])):
+        size *= sum(abs(r[j]) for r in rays) + 1
+    return size
+
+
+def _random_cones(seed, ranks, count, entry, box_cap, full=False):
+    """Strictly convex cones with a small dual zonotope box; unless full, many
+    are not full-dimensional, and their dual monoid then has units."""
+    rnd = random.Random(seed)
+    found = []
+    while len(found) < count:
+        rank = rnd.choice(ranks)
+        gens = [tuple(rnd.randint(-entry, entry) for _ in range(rank))
+                for _ in range(rnd.randint(rank if full else 1, rank + 1))]
+        if full and matrix_rank(gens) < rank:
+            continue
+        try:
+            cone = build_cone([DualVector(g) for g in gens], rank=rank)
+        except ContainsLine:
+            continue
+        if not cone.dual_rays or _zonotope_box(cone.dual_rays) <= box_cap:
+            found.append((cone, gens))
+    return found
+
+
+def test_degree_cut_matches_whole_box_scan():
+    cones = _random_cones(7, (2, 3, 4, 5), 60, 2, 150) + \
+        _random_cones(8, (4, 5), 12, 1, 2000, full=True)
+    for cone, gens in cones:
+        want = _reference_basis(gens, cone.rank)
+        assert [v.coords for v in dual_monoid(cone).hilbert_basis] == want, gens
+        assert _monoid_basis(gens, cone.rank) == want, gens  # runs its own DD
+    lineality = sum(bool(cone.dual_lineality) for cone, _ in cones)
+    assert 10 <= lineality <= 50
+
+
+def test_random_rank_four_and_five_verified():
+    for cone, gens in _random_cones(3, (4, 5), 16, 1, 10 ** 6, full=True):
+        basis = [v.coords for v in dual_monoid(cone).hilbert_basis]
+        verify_hilbert_basis(gens, basis, box_bound=1)
+
+
+def test_two_dimensional_cliff():
+    # the dual of cone((0,1), (a, a-1)) is generated by (1,0) and (-k, k+1), k < a
+    cone = build_cone([DualVector((0, 1)), DualVector((200, 199))])
+    basis = [v.coords for v in dual_monoid(cone).hilbert_basis]
+    assert basis == sorted([(1, 0)] + [(-k, k + 1) for k in range(200)])
+
+
+def _torus_record(kappas):
+    rank = len(kappas[0])
+    doc = {"cartan": {"ambient_rank": rank, "simple_roots": [], "simple_coroots": []},
+           "lattice_M": {"basis_rows": [[int(i == j) for j in range(rank)]
+                                        for i in range(rank)]},
+           "divisors": [{"name": f"d{i}", "kappa": list(k), "kind": "g-stable"}
+                        for i, k in enumerate(kappas)]}
+    return parse_datum(json.dumps(doc))
+
+
+def test_rank5_record_validates_within_budget():
+    units = [tuple(int(i == j) for j in range(5)) for i in range(4)]
+    datum = _torus_record(units + [(3, 5, 7, 11, 13)])
+    start = time.perf_counter()
+    report = validate(datum)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < 10.0, f"rank-5 validate took {elapsed:.2f} s"
+    basis = [v.coords for v in weight_monoid(datum).hilbert_basis]
+    verify_hilbert_basis([d.kappa.coords for d in datum.divisors], basis, box_bound=1)

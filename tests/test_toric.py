@@ -219,6 +219,48 @@ class TestExponentiation:
         f = monomial(lv(1, 1), 5)
         assert evaluate(exponentiate(root, f), Fraction(0)) == f
 
+    @staticmethod
+    def by_definition(root, f, scale):
+        """The t^k coefficients of exp(t * scale * derivation) f, as the
+        derivation applied k times and divided by k!."""
+        coeffs, current, k = [f], f, 1
+        while True:
+            current = apply_derivation(root, current, scale=scale)
+            if current.is_zero():
+                return FlowPolynomial(tuple(coeffs))
+            coeffs.append(current.scale(Fraction(1, math.factorial(k))))
+            k += 1
+
+    def test_closed_form_is_the_definition(self):
+        rnd = random.Random(31)
+        scales = [1, 0, -2, Fraction(3, 2), Fraction(-1, 3)]
+        done = 0
+        while done < 40:
+            cone, _ = random_pointed_cone(rnd, max_rank=3, max_gens=4, entry=3)
+            roots = enumerate_demazure_roots(cone, 2)
+            weights = [tuple(rnd.randint(-4, 4) for _ in range(cone.rank))
+                       for _ in range(12)]
+            weights = [w for w in weights if cone.dual_contains(lv(*w))]
+            if not roots:
+                continue
+            root = rnd.choice(roots)
+            f = AlgebraElement.from_dict(
+                {lv(*w): Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for w in weights})
+            scale = scales[done % len(scales)]
+            assert exponentiate(root, f, scale) == self.by_definition(root, f, scale)
+            done += 1
+
+    def test_closed_form_edge_cases(self):
+        root = demazure_root(QUADRANT, lv(-1, 0))
+        killed = monomial(lv(0, 3), Fraction(2, 7))  # <rho, lambda> = 0
+        mixed = killed + monomial(lv(4, 1), -3)
+        for f in (AlgebraElement.zero(), killed, mixed):
+            for scale in (0, -1, Fraction(5, 3)):
+                assert exponentiate(root, f, scale) == self.by_definition(root, f, scale)
+        assert exponentiate(root, AlgebraElement.zero()).is_zero()
+        assert exponentiate(root, mixed, 0) == FlowPolynomial.constant(mixed)
+        assert exponentiate(root, killed, -1) == FlowPolynomial.constant(killed)
+
 
 class TestFlowPolynomial:
     def test_degree_and_coefficients(self):
