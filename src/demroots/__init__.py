@@ -15,9 +15,7 @@ from .cones import (
     WeightMonoid,
     build_cone,
     dual_monoid,
-    extremal_rays,
     on_nonnegative_ray,
-    ray_membership,
 )
 from .toric import (
     AlgebraElement,
@@ -91,10 +89,10 @@ __all__ = [
     "apply_derivation", "build_cone", "cartan_matrix_of_type", "check_divisor_ray",
     "check_supported", "classify", "congruent_summand_weights", "demazure_ray",
     "demazure_root", "dual_monoid", "enumerate_demazure_roots", "example",
-    "exponentiate", "extremal_rays", "find_witness", "full_cone", "gstable_report",
+    "exponentiate", "find_witness", "full_cone", "gstable_report",
     "levi_subset", "lnd_basis", "monomial", "nilpotency_index",
     "nilradical_highest_weights", "nilradical_roots", "on_nonnegative_ray",
-    "pairing", "parse_datum", "primitive", "ray_membership", "read_datum",
+    "pairing", "parse_datum", "primitive", "read_datum",
     "realizable_summand_weights", "root_system", "serialize_datum", "slice_cone",
     "slice_monoid", "smith_normal_form", "standard_root_system",
     "torus_root_system", "validate", "weight_monoid", "write_datum",

@@ -126,13 +126,12 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
         done.append(a)
 
     # Saturated, canonical lineality lattice.
-    lin_basis = [] if matrix_rank(halves) == rank else integer_kernel(halves, rank)
-    if not halves:
-        lin_basis = integer_kernel([], rank)
+    dim = matrix_rank(halves)
+    lin_basis = integer_kernel(halves, rank) if dim < rank else []
 
     # Prune rays to the extremal ones (rank of active halfspaces = rank(H) - 1)
     # and canonicalize them modulo the lineality lattice.
-    target = matrix_rank(halves) - 1
+    target = dim - 1
     reduce_mod = _lattice_reducer(lin_basis, rank)
     final = set()
     for r in rays:
@@ -145,14 +144,21 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     return sorted(lin_basis), sorted(final)
 
 
+def _saturated_split(basis: Sequence[tuple]):
+    """(V, V^-1) for the Smith normal form U * basis * V = (I | 0) of the rows
+    of a saturated sublattice: x * V lists x in the basis of Z^n given by the
+    rows of V^-1, whose first len(basis) rows span the sublattice."""
+    _, D, V = smith_normal_form(basis)
+    assert all(D[i][i] == 1 for i in range(len(basis))), "sublattice must be saturated"
+    return V, unimodular_inverse(V)
+
+
 def _lattice_reducer(basis: Sequence[tuple], rank: int):
     """Map x to its canonical representative modulo the (saturated) lattice."""
     if not basis:
         return lambda vec: vec
-    _, D, V = smith_normal_form(basis)
     k = len(basis)
-    assert all(D[i][i] == 1 for i in range(k)), "lineality lattice must be saturated"
-    Vinv = unimodular_inverse(V)
+    V, Vinv = _saturated_split(basis)
 
     def reduce(vec):
         # coeffs = vec * V; zero out the k lattice coordinates, map back with V^-1.
@@ -261,10 +267,6 @@ def build_cone(generators: Sequence[DualVector], rank: Optional[int] = None,
     )
 
 
-def extremal_rays(cone: Cone) -> tuple:
-    return cone.extremal_rays
-
-
 def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
     """True iff v is a nonnegative rational multiple of rho (both nonzero)."""
     if v.lattice != rho.lattice:
@@ -278,13 +280,6 @@ def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
             if v.coords[i] * rho.coords[j] != v.coords[j] * rho.coords[i]:
                 return False
     return dot(v.coords, rho.coords) > 0
-
-
-def ray_membership(cone: Cone, v: DualVector, rho: DualVector) -> bool:
-    """True iff v lies on the ray spanned by rho; cone supplies rank/lattice context."""
-    if rho.rank != cone.rank or rho.lattice != cone.lattice:
-        raise RankMismatch("ray does not match the cone's lattice")
-    return on_nonnegative_ray(v, rho)
 
 
 @dataclass(frozen=True)
@@ -354,11 +349,9 @@ def _monoid_basis(functionals: Sequence[tuple], rank: int, v_rep=None) -> list:
     if k == rank:
         return basis
 
-    _, D, V = smith_normal_form(units)
-    assert all(D[i][i] == 1 for i in range(k)), "kernel lattice must be saturated"
-    Vinv = unimodular_inverse(V)
-    # x expands as (x*V) over the rows of V^-1; the first k rows span the units,
-    # so y -> sum y[i] * section[i] lifts the quotient and f pulls back to f o lift.
+    V, Vinv = _saturated_split(units)
+    # The first k rows of V^-1 span the units, so y -> sum y[i] * section[i]
+    # lifts the quotient and f pulls back to f o lift.
     section = [Vinv[i] for i in range(k, rank)]
     columns = [tuple(V[i][j] for i in range(rank)) for j in range(k, rank)]
     quotient_rows = [tuple(dot(f, s) for s in section) for f in halves]

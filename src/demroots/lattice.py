@@ -4,6 +4,10 @@ Everything here is plain ``int`` arithmetic (arbitrary precision); no floats are
 used anywhere in the package. Vectors carry the name of the lattice they live in
 so that a functional on one lattice can never be paired against a vector of
 another by accident.
+
+One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, inverses of
+unimodular matrices and leading principal minors; the Smith normal form gives
+integer kernels, invariant factors and integer solutions.
 """
 
 from __future__ import annotations
@@ -25,8 +29,13 @@ def _as_int_tuple(coords) -> tuple:
 
 
 @dataclass(frozen=True)
-class LatticeVector:
-    """A point of a lattice, e.g. a weight in M or a character in X(T)."""
+class _Vector:
+    """Integer coordinates tagged with the name of their lattice.
+
+    The two subclasses below tell the sides of a pairing apart; arithmetic
+    returns the class of its left operand, and the dataclass equality never
+    equates vectors of different classes.
+    """
 
     coords: tuple
     lattice: str = "M"
@@ -51,69 +60,33 @@ class LatticeVector:
                 f"rank mismatch: {len(self.coords)} vs {len(other.coords)}"
             )
 
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
+    def __add__(self, other):
         self._check(other)
-        return LatticeVector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)), self.lattice)
 
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
+    def __sub__(self, other):
         self._check(other)
-        return LatticeVector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)), self.lattice)
 
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(tuple(-a for a in self.coords), self.lattice)
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coords), self.lattice)
 
-    def __mul__(self, n: int) -> "LatticeVector":
-        return LatticeVector(tuple(n * a for a in self.coords), self.lattice)
+    def __mul__(self, n: int):
+        return type(self)(tuple(n * a for a in self.coords), self.lattice)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DualVector:
+class LatticeVector(_Vector):
+    """A point of a lattice, e.g. a weight in M or a character in X(T)."""
+
+
+class DualVector(_Vector):
     """An integral functional on the lattice named by ``lattice``.
 
     Valuation vectors kappa(D) and cone ray generators are DualVectors; weights
     are LatticeVectors. The pairing below only accepts a matching pair.
     """
-
-    coords: tuple
-    lattice: str = "M"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_int_tuple(self.coords))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other):
-        if self.lattice != other.lattice:
-            raise RankMismatch(
-                f"functionals on different lattices: {self.lattice!r} vs {other.lattice!r}"
-            )
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch(
-                f"rank mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
-
-    def __add__(self, other: "DualVector") -> "DualVector":
-        self._check(other)
-        return DualVector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.lattice)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        self._check(other)
-        return DualVector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.lattice)
-
-    def __neg__(self) -> "DualVector":
-        return DualVector(tuple(-a for a in self.coords), self.lattice)
-
-    def __mul__(self, n: int) -> "DualVector":
-        return DualVector(tuple(n * a for a in self.coords), self.lattice)
-
-    __rmul__ = __mul__
 
 
 def pairing(rho: DualVector, lam: LatticeVector) -> int:
@@ -224,11 +197,9 @@ def primitive_tuple(coords: Sequence[int]) -> tuple:
 
 def primitive(v):
     """Primitive vector on the same ray: v / gcd(coords). Sign is preserved."""
-    if isinstance(v, LatticeVector):
-        return LatticeVector(primitive_tuple(v.coords), v.lattice)
-    if isinstance(v, DualVector):
-        return DualVector(primitive_tuple(v.coords), v.lattice)
-    raise TypeError("primitive expects a LatticeVector or DualVector")
+    if not isinstance(v, _Vector):
+        raise TypeError("primitive expects a LatticeVector or DualVector")
+    return type(v)(primitive_tuple(v.coords), v.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +306,7 @@ def invariant_factors(matrix) -> tuple:
 
 
 def matrix_rank(matrix) -> int:
-    rows = [row for row in matrix if any(row)]
-    if not rows:
-        return 0
-    return len(invariant_factors(rows))
+    return len(_bareiss([row for row in matrix if any(row)])[1])
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int):
@@ -391,29 +359,43 @@ def integer_row_solve(basis_rows: Sequence[Sequence[int]], target: Sequence[int]
 
 def unimodular_inverse(matrix: Sequence[Sequence[int]]):
     """Inverse of a unimodular integer matrix, as integer row tuples."""
-    from fractions import Fraction
-
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in row))
-    return tuple(inv)
+    rows, pivots = _bareiss([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(matrix)])
+    if [c for _, c, _ in pivots] != list(range(n)):
+        raise ValueError("matrix is singular")
+    # Row r of the reduced [V | I] is det * (e_c | row c of V^-1); det = +-1.
+    det = pivots[-1][2] if pivots else 1
+    if abs(det) != 1:
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(det * v for v in rows[r][n:]) for r, _, _ in pivots)
+
+
+def _bareiss(matrix):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns the reduced rows and the pivots (row, column, value) in column
+    order. Rows are never exchanged: a column's pivot is the first row not yet
+    used with a nonzero entry there. Each pivot is the minor of the matrix on
+    the pivot rows and columns so far, so every division is exact (Bareiss,
+    Math. Comp. 1968); when the pivots sit on the diagonal they are the
+    leading principal minors, and the last pivot of a square nonsingular
+    matrix is its determinant up to the sign of the row order.
+    """
+    rows = [list(row) for row in matrix]
+    pivots, prev = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        used = {r for r, _, _ in pivots}
+        r = next((i for i, row in enumerate(rows) if row[c] and i not in used), None)
+        if r is None:
+            continue
+        p, top = rows[r][c], rows[r]
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = [(p * a - row[c] * b) // prev for a, b in zip(row, top)]
+        pivots.append((r, c, p))
+        prev = p
+    return rows, pivots
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ Simple roots live in the character lattice X(T) of a connected reductive group
 of simple roots); simple coroots are integral functionals on X(T). Positive
 roots are generated by the root-string closure: beta + alpha_i is a root iff
 the string length q = p - <beta, alpha_i^vee> is positive, where p counts how
-far the string extends backwards.
+far the string extends backwards. The Cartan matrix is checked to be of finite
+type first (its Dynkin graph is a forest and its leading principal minors are
+positive), so the closure always terminates and no cap on its size is needed.
 
 The standard constructors realize each Cartan type in fundamental-weight
 coordinates: coroots are standard basis functionals and simple roots are the
@@ -14,12 +16,10 @@ columns of the Cartan matrix, padded with zeros for central torus directions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import DualVector, LatticeVector, matrix_rank, pairing
+from .lattice import DualVector, LatticeVector, _bareiss, matrix_rank, pairing
 
 
 def cartan_matrix_of_type(letter: str, rank: int):
@@ -78,33 +78,25 @@ def cartan_matrix_of_type(letter: str, rank: int):
     return tuple(tuple(row) for row in A)
 
 
-def _principal_minors_positive(A) -> bool:
+def _finite_type(A) -> bool:
+    """Whether a GCM with the sign and zero pattern of a Cartan matrix is of
+    finite type.
+
+    Finite-type Dynkin diagrams are forests (Kac, Infinite dimensional Lie
+    algebras, ch. 4). On a forest A = DB with D positive diagonal and B
+    symmetric, so A is of finite type iff B is positive definite, that is
+    (Sylvester) iff the leading principal minors of A are positive; these are
+    the pivots of the fraction-free elimination when they sit on the diagonal.
+    """
     n = len(A)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if _det([[Fraction(A[i][j]) for j in subset] for i in subset]) <= 0:
-                return False
-    return True
-
-
-def _det(rows) -> Fraction:
-    rows = [row[:] for row in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
+    # The vectors e_i - e_j of a graph's edges are independent iff it has no cycle.
+    edges = [[(k == i) - (k == j) for k in range(n)]
+             for i in range(n) for j in range(i) if A[i][j]]
+    if matrix_rank(edges) != len(edges):
+        return False
+    _, pivots = _bareiss(A)
+    return [(r, c) for r, c, _ in pivots] == [(k, k) for k in range(n)] \
+        and all(p > 0 for _, _, p in pivots)
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,6 @@ class RootSystem:
             any(beta == -v for beta in self.positive_roots)
 
 
-_MAX_POSITIVE_ROOTS = 300
-
-
 def root_system(simple_roots: Sequence[LatticeVector],
                 simple_coroots: Sequence[DualVector],
                 ambient_rank: int) -> RootSystem:
@@ -154,11 +143,10 @@ def root_system(simple_roots: Sequence[LatticeVector],
     for v in coroots:
         if v.rank != ambient_rank or v.lattice != "X(T)":
             raise ValueError("simple coroots must be X(T) functionals of the ambient rank")
-    if n:
-        if matrix_rank([v.coords for v in roots]) != n:
-            raise ValueError("simple roots are linearly dependent")
-        if matrix_rank([v.coords for v in coroots]) != n:
-            raise ValueError("simple coroots are linearly dependent")
+    if matrix_rank([v.coords for v in roots]) != n:
+        raise ValueError("simple roots are linearly dependent")
+    if matrix_rank([v.coords for v in coroots]) != n:
+        raise ValueError("simple coroots are linearly dependent")
     A = [[pairing(cv, a) for a in roots] for cv in coroots]
     for i in range(n):
         if A[i][i] != 2:
@@ -170,7 +158,7 @@ def root_system(simple_roots: Sequence[LatticeVector],
                 raise ValueError(f"positive off-diagonal Cartan entry at ({i},{j})")
             if (A[i][j] == 0) != (A[j][i] == 0):
                 raise ValueError(f"asymmetric zero pattern at ({i},{j})")
-    if n and not _principal_minors_positive(A):
+    if not _finite_type(A):
         raise ValueError("Cartan matrix is not of finite type")
 
     # Positive roots by height, with coefficient vectors over the simple roots.
@@ -182,8 +170,6 @@ def root_system(simple_roots: Sequence[LatticeVector],
         order.append(coeff)
     frontier = list(order)
     while frontier:
-        if len(known) > _MAX_POSITIVE_ROOTS:
-            raise ValueError("root closure did not terminate; data is not finite type")
         next_frontier = []
         for coeff in frontier:
             beta = known[coeff]
@@ -256,24 +242,22 @@ def _check_levi(rs: RootSystem, levi) -> frozenset:
     return levi
 
 
+def _in_levi(coeff, levi) -> bool:
+    return all(c == 0 or i in levi for i, c in enumerate(coeff))
+
+
 def levi_positive_roots(rs: RootSystem, levi) -> tuple:
     """Positive roots supported on the chosen simple roots."""
     levi = _check_levi(rs, levi)
-    out = []
-    for beta, coeff in zip(rs.positive_roots, rs.coefficients):
-        if all(c == 0 or i in levi for i, c in enumerate(coeff)):
-            out.append(beta)
-    return tuple(out)
+    return tuple(beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
+                 if _in_levi(coeff, levi))
 
 
 def nilradical_roots(rs: RootSystem, levi) -> tuple:
     """Positive roots using at least one simple root outside the Levi subset."""
     levi = _check_levi(rs, levi)
-    out = []
-    for beta, coeff in zip(rs.positive_roots, rs.coefficients):
-        if any(c != 0 and i not in levi for i, c in enumerate(coeff)):
-            out.append(beta)
-    return tuple(out)
+    return tuple(beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
+                 if not _in_levi(coeff, levi))
 
 
 def nilradical_highest_weights(rs: RootSystem, levi) -> tuple:
@@ -284,15 +268,8 @@ def nilradical_highest_weights(rs: RootSystem, levi) -> tuple:
     """
     levi = _check_levi(rs, levi)
     positive = set(rs.coefficients)
-    levi_roots = [rs.coefficients_of(g) for g in levi_positive_roots(rs, levi)]
-    out = []
-    for beta in nilradical_roots(rs, levi):
-        coeff = rs.coefficients_of(beta)
-        top = True
-        for gamma in levi_roots:
-            if tuple(a + b for a, b in zip(coeff, gamma)) in positive:
-                top = False
-                break
-        if top:
-            out.append(beta)
+    levi_roots = [coeff for coeff in rs.coefficients if _in_levi(coeff, levi)]
+    out = [beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
+           if not _in_levi(coeff, levi) and not any(
+               tuple(a + b for a, b in zip(coeff, gamma)) in positive for gamma in levi_roots)]
     return tuple(sorted(out, key=lambda b: b.coords))

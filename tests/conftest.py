@@ -183,9 +183,9 @@ def verify_hilbert_basis(generators, hilbert, box_bound):
 # Random pointed cones.
 # ---------------------------------------------------------------------------
 
-def random_pointed_cone(rnd: random.Random, max_rank=3, max_gens=5, entry=4):
+def random_pointed_cone(rnd: random.Random, max_rank=3, max_gens=5, entry=4, min_rank=1):
     while True:
-        rank = rnd.randint(1, max_rank)
+        rank = rnd.randint(min_rank, max_rank)
         count = rnd.randint(1, max_gens)
         gens = []
         for _ in range(count):

@@ -32,6 +32,21 @@ def det(M):
     return d
 
 
+def fraction_rank(M):
+    rows = [[Fraction(v) for v in r] for r in M]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 class TestVectors:
     def test_arithmetic(self):
         a = LatticeVector((1, 2))
@@ -73,6 +88,23 @@ class TestVectors:
     def test_is_zero(self):
         assert LatticeVector((0, 0)).is_zero()
         assert not LatticeVector((0, 1)).is_zero()
+
+    def test_classes_are_distinct(self):
+        assert LatticeVector((1, 0)) != DualVector((1, 0))
+        assert LatticeVector((1, 0)) == LatticeVector((1, 0))
+
+    @pytest.mark.parametrize("cls", [LatticeVector, DualVector])
+    def test_operators_keep_the_class(self, cls):
+        a, b = cls((1, 2), "X(T)"), cls((3, -1), "X(T)")
+        for v in (a + b, a - b, -a, 3 * a, a * 3, primitive(2 * a)):
+            assert type(v) is cls and v.lattice == "X(T)"
+
+    @pytest.mark.parametrize("cls", [LatticeVector, DualVector])
+    def test_mixed_lattices_raise(self, cls):
+        with pytest.raises(RankMismatch):
+            cls((1, 2), "M") + cls((1, 2), "X(T)")
+        with pytest.raises(RankMismatch):
+            cls((1, 2), "M") - cls((1, 2), "X(T)")
 
 
 class TestPrimitive:
@@ -141,6 +173,15 @@ class TestSmithNormalForm:
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert matrix_rank([[0, 0]]) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(6), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                           int_entries, int_entries), max_size=3))
+    def test_matrix_rank_against_fractions(self, A, extra):
+        # Append zero rows and combinations of existing rows.
+        for i, j, a, b in extra:
+            A = A + [[a * x + b * y for x, y in zip(A[i % len(A)], A[j % len(A)])]]
+        assert matrix_rank(A) == fraction_rank(A)
+
 
 class TestKernelAndSolve:
     def test_kernel_halfplane(self):
@@ -189,6 +230,23 @@ class TestUnimodularInverse:
         M = [[2, 1], [1, 1]]
         inv = unimodular_inverse(M)
         assert matmul([list(r) for r in inv], M) == [[1, 0], [0, 1]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(5))
+    def test_round_trip_on_smith_transforms(self, A):
+        _, _, V = smith_normal_form(A)
+        inv = unimodular_inverse(V)
+        identity = [[int(i == j) for j in range(len(V))] for i in range(len(V))]
+        assert matmul([list(r) for r in inv], [list(r) for r in V]) == identity
+        assert matmul([list(r) for r in V], [list(r) for r in inv]) == identity
+
+    def test_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            unimodular_inverse([[1, 2], [2, 4]])
+
+    def test_not_unimodular(self):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse([[2, 0], [0, 1]])
 
 
 class TestSublattice:

@@ -1,10 +1,20 @@
+import json
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
+from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, LatticeVector
-from demroots.rootsystems import (RootSystem, cartan_matrix_of_type,
+from demroots.rootsystems import (RootSystem, _finite_type, cartan_matrix_of_type,
                                   levi_positive_roots, nilradical_highest_weights,
                                   nilradical_roots, root_system,
                                   standard_root_system, torus_root_system)
+from demroots.spherical import validate
+
+from conftest import run_cli
 
 
 def xt(*c):
@@ -123,6 +133,143 @@ class TestValidation:
         with pytest.raises(ValueError):
             root_system([LatticeVector((2,), lattice="M")],
                         [DualVector((1,), lattice="X(T)")], 1)
+
+
+def _det(rows) -> Fraction:
+    rows = [[Fraction(v) for v in row] for row in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def principal_minors_positive(A) -> bool:
+    """Reference finite-type test (Kac, Thm 4.3): every principal minor of the
+    GCM is positive; 2^n exact determinants."""
+    n = len(A)
+    return all(_det([[A[i][j] for j in subset] for i in subset]) > 0
+               for size in range(1, n + 1) for subset in combinations(range(n), size))
+
+
+def symmetrizable(A) -> bool:
+    """Whether A = DB with D positive diagonal and B symmetric."""
+    n = len(A)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start], todo = Fraction(1), [start]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if j != i and A[i][j]:
+                    dj = d[i] * A[j][i] / A[i][j]  # a_ij / d_i = a_ji / d_j
+                    if d[j] is None:
+                        d[j] = dj
+                        todo.append(j)
+                    elif d[j] != dj:
+                        return False
+    return True
+
+
+def forest(A) -> bool:
+    """Whether the Dynkin graph of A has no cycle: edges = nodes - components."""
+    n = len(A)
+    seen, components = set(), 0
+    for start in range(n):
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            todo = [start]
+            while todo:
+                i = todo.pop()
+                for j in range(n):
+                    if A[i][j] and j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+    return sum(1 for i in range(n) for j in range(i) if A[i][j]) == n - components
+
+
+def random_gcm(rnd, n):
+    """A random GCM: a random forest plus a few extra edges (cycles), with
+    mostly simple bonds so that finite types are common."""
+    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = [(i, rnd.randrange(i)) for i in range(1, n) if rnd.random() < 0.8]
+    if n > 2:
+        edges += [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.choice((0, 0, 1, 2)))]
+    for i, j in edges:
+        if rnd.random() < 0.7:
+            A[i][j] = A[j][i] = -1
+        else:
+            A[i][j], A[j][i] = -rnd.randint(1, 4), -rnd.randint(1, 3)
+    return A
+
+
+def realize(A):
+    """Simple roots and coroots with Cartan matrix A; an extra identity block
+    keeps the roots independent whatever det A is."""
+    n = len(A)
+    roots = [xt(*(A[i][j] for i in range(n)), *(int(i == j) for i in range(n)))
+             for j in range(n)]
+    coroots = [DualVector(tuple(int(i == j) for i in range(2 * n)), "X(T)") for j in range(n)]
+    return roots, coroots, 2 * n
+
+
+class TestFiniteType:
+    def test_agrees_with_all_principal_minors(self):
+        rnd = random.Random(5)
+        seen = {"finite": 0, "cycle": 0, "non-symmetrizable": 0, "tree not finite": 0}
+        for _ in range(2000):
+            A = random_gcm(rnd, rnd.randint(1, 7))
+            expected = principal_minors_positive(A)
+            assert _finite_type(A) == expected, A
+            seen["finite"] += expected
+            seen["cycle"] += not forest(A)
+            seen["non-symmetrizable"] += not symmetrizable(A)
+            seen["tree not finite"] += forest(A) and not expected
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("A", [
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~: a cycle
+        [[2, -3], [-3, 2]],                       # hyperbolic
+    ])
+    def test_rejected(self, A):
+        with pytest.raises(ValueError, match="not of finite type"):
+            root_system(*realize(A))
+
+    @pytest.mark.parametrize("letter,n,count", [
+        ("A", 25, 25 * 26 // 2), ("B", 18, 18 ** 2), ("D", 18, 18 * 17)])
+    def test_large_systems_close(self, letter, n, count):
+        assert len(standard_root_system(letter, n).positive_roots) == count
+
+    def test_record_with_a25_factor_validates(self, tmp_path):
+        A = cartan_matrix_of_type("A", 25)
+        doc = {"cartan": {"ambient_rank": 26,
+                          "simple_roots": [[A[i][j] for i in range(25)] + [0]
+                                           for j in range(25)],
+                          "simple_coroots": [[int(i == j) for i in range(26)]
+                                             for j in range(25)]},
+               "lattice_M": {"basis_rows": [[1] + [0] * 25, [0] * 25 + [1]]},
+               "divisors": [{"name": "line", "kappa": [1, 0], "kind": "color",
+                             "color_type": "U", "moved_by": [0]},
+                            {"name": "axis", "kappa": [0, 1], "kind": "g-stable"}]}
+        path = tmp_path / "a25.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert validate(parse_datum(path.read_text())).ok
+        assert "record valid" in run_cli("validate", str(path)).stdout
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"A25 record validation took {elapsed:.2f} s"
 
 
 class TestTorus:
