@@ -5,14 +5,16 @@ used anywhere in the package. Vectors carry the name of the lattice they live in
 so that a functional on one lattice can never be paired against a vector of
 another by accident.
 
-One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, inverses of
-unimodular matrices and leading principal minors; the Smith normal form gives
-integer kernels, invariant factors and integer solutions.
+One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, leading
+principal minors, and, run on a matrix beside an identity block, inverses of
+unimodular matrices and the coordinates of a vector in a sublattice basis; the
+Smith normal form gives integer kernels and invariant factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -22,10 +24,10 @@ class RankMismatch(ValueError):
 
 
 def _as_int_tuple(coords) -> tuple:
-    out = tuple(int(c) for c in coords)
+    coords = tuple(coords)
     if any(isinstance(c, bool) for c in coords):
         raise TypeError("vector coordinates must be integers")
-    return out
+    return tuple(map(operator.index, coords))
 
 
 @dataclass(frozen=True)
@@ -328,47 +330,30 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int):
     return basis
 
 
-def integer_row_solve(basis_rows: Sequence[Sequence[int]], target: Sequence[int]):
-    """Solve x * B = target for integer x, where B has the given rows.
-
-    Returns the coefficient tuple, or None when no integer solution exists.
-    """
-    B = [tuple(r) for r in basis_rows]
-    r = len(B)
-    if r == 0:
-        return () if not any(target) else None
-    n = len(B[0])
-    if len(target) != n:
-        raise RankMismatch(f"target rank {len(target)} does not match columns {n}")
-    # x*B = t  <=>  B^T x^T = t^T; with U (B^T) V = D this becomes D (V^-1 x^T) = U t^T.
-    At = [[B[i][j] for i in range(r)] for j in range(n)]
-    U, D, V = smith_normal_form(At)
-    w = [dot(U[i], target) for i in range(n)]
-    y = [0] * r
-    for i in range(n):
-        d = D[i][i] if i < min(n, r) else 0
-        if d != 0:
-            if w[i] % d != 0:
-                return None
-            y[i] = w[i] // d
-        elif w[i] != 0:
-            return None
-    x = [dot(V[i], y) for i in range(r)]
-    return tuple(x)
-
-
 def unimodular_inverse(matrix: Sequence[Sequence[int]]):
     """Inverse of a unimodular integer matrix, as integer row tuples."""
-    n = len(matrix)
-    rows, pivots = _bareiss([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(matrix)])
-    if [c for _, c, _ in pivots] != list(range(n)):
+    det, transform = _transform(matrix, len(matrix))
+    if list(transform) != list(range(len(matrix))):
         raise ValueError("matrix is singular")
-    # Row r of the reduced [V | I] is det * (e_c | row c of V^-1); det = +-1.
-    det = pivots[-1][2] if pivots else 1
     if abs(det) != 1:
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(det * v for v in rows[r][n:]) for r, _, _ in pivots)
+    return tuple(tuple(det * v for v in row) for row in transform.values())
+
+
+def _transform(matrix, width: int):
+    """Reduce [A | I] with _bareiss, for A of the given width, to the last pivot
+    d and a dict from each pivot column c to the row T_c of the identity block.
+
+    T_c * A is d on column c and 0 on the other pivot columns, so for
+    independent rows x * A = v has the one solution x = sum_c v[c] * T_c / d,
+    and |d| is the minor of A on its pivot columns. A pivot column c >= width
+    means the rows of A are dependent.
+    """
+    m = len(matrix)
+    rows, pivots = _bareiss([list(row) + [int(i == j) for j in range(m)]
+                             for i, row in enumerate(matrix)])
+    det = pivots[-1][2] if pivots else 1
+    return det, {c: tuple(rows[r][width:]) for r, c, _ in pivots}
 
 
 def _bareiss(matrix):
@@ -400,19 +385,26 @@ def _bareiss(matrix):
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A finite-rank subgroup of Z^ambient_rank given by full-row-rank basis rows."""
+    """A finite-rank subgroup of Z^ambient_rank given by independent basis rows.
+
+    The rows are reduced once by _transform; coordinates then cost one
+    matrix-vector product.
+    """
 
     ambient_rank: int
     basis_rows: tuple
     lattice: str = "X(T)"
+    _solver: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(_as_int_tuple(r) for r in self.basis_rows)
         object.__setattr__(self, "basis_rows", rows)
         if any(len(r) != self.ambient_rank for r in rows):
             raise ValueError("basis row length does not match ambient rank")
-        if rows and matrix_rank(rows) != len(rows):
+        det, transform = _transform(rows, self.ambient_rank)
+        if any(c >= self.ambient_rank for c in transform):
             raise ValueError("basis rows are not linearly independent")
+        object.__setattr__(self, "_solver", (det, transform))
 
     @classmethod
     def full(cls, rank: int, lattice: str = "X(T)") -> "Sublattice":
@@ -425,8 +417,7 @@ class Sublattice:
 
     @property
     def is_full(self) -> bool:
-        return (self.rank == self.ambient_rank
-                and all(d == 1 for d in invariant_factors(self.basis_rows)))
+        return self.rank == self.ambient_rank and abs(self._solver[0]) == 1
 
     def coordinates(self, v: LatticeVector) -> Optional[tuple]:
         """Coefficients of v in the basis rows, or None when v is not in the sublattice."""
@@ -435,7 +426,12 @@ class Sublattice:
                 f"vector of {v.lattice!r} tested against a sublattice of {self.lattice!r}")
         if v.rank != self.ambient_rank:
             raise RankMismatch(f"rank mismatch: {v.rank} vs {self.ambient_rank}")
-        return integer_row_solve(self.basis_rows, v.coords)
+        det, transform = self._solver
+        # Exact when v lies in the sublattice; otherwise no integer x embeds
+        # to v, so the floor division needs no divisibility test of its own.
+        x = tuple(sum(v.coords[c] * row[i] for c, row in transform.items()) // det
+                  for i in range(self.rank))
+        return x if self.embed(x).coords == v.coords else None
 
     def contains(self, v: LatticeVector) -> bool:
         return self.coordinates(v) is not None

@@ -263,13 +263,14 @@ def nilradical_roots(rs: RootSystem, levi) -> tuple:
 def nilradical_highest_weights(rs: RootSystem, levi) -> tuple:
     """Highest weights of the irreducible Levi summands of the nilradical.
 
-    A nilradical root alpha is a highest weight iff alpha + gamma is not a root
-    for any positive Levi root gamma. The result is sorted by coordinates.
+    A nilradical root alpha is a highest weight iff alpha + alpha_i is not a
+    root for any simple root alpha_i of the Levi: the raising operators of the
+    Levi are generated by those of its simple roots (Humphreys, Introduction
+    to Lie Algebras, 20-21). The result is sorted by coordinates.
     """
     levi = _check_levi(rs, levi)
     positive = set(rs.coefficients)
-    levi_roots = [coeff for coeff in rs.coefficients if _in_levi(coeff, levi)]
     out = [beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
            if not _in_levi(coeff, levi) and not any(
-               tuple(a + b for a, b in zip(coeff, gamma)) in positive for gamma in levi_roots)]
+               coeff[:i] + (coeff[i] + 1,) + coeff[i + 1:] in positive for i in levi)]
     return tuple(sorted(out, key=lambda b: b.coords))

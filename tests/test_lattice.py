@@ -1,12 +1,15 @@
+import random
+from collections import Counter
+
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from demroots.lattice import (DualVector, LatticeVector, RankMismatch, Sublattice,
-                              content, integer_kernel, integer_row_solve,
-                              invariant_factors, matrix_rank, pairing, primitive,
-                              primitive_tuple, smith_normal_form,
+                              content, integer_kernel, invariant_factors, matrix_rank,
+                              pairing, primitive, primitive_tuple, smith_normal_form,
                               unimodular_inverse)
+from demroots.toric import monomial
 
 
 def matmul(A, B):
@@ -47,6 +50,48 @@ def fraction_rank(M):
     return rank
 
 
+def fraction_solve(B, v):
+    """The x with x * B = v over the rationals, for independent rows B, or None
+    when v is outside their span."""
+    r, n = len(B), len(v)
+    # Eliminate on the columns of [B^T | v^T]: n equations in r unknowns.
+    rows = [[Fraction(B[i][j]) for i in range(r)] + [Fraction(v[j])] for j in range(n)]
+    pivots = []
+    for c in range(r):
+        piv = next(i for i in range(len(pivots), n) if rows[i][c] != 0)
+        rows[len(pivots)], rows[piv] = rows[piv], rows[len(pivots)]
+        top = rows[len(pivots)]
+        top[:] = [a / top[c] for a in top]
+        for i in range(n):
+            if i != len(pivots) and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        pivots.append(c)
+    if any(row[r] for row in rows[r:]):
+        return None
+    return tuple(rows[i][r] for i in range(r))
+
+
+def unimodular_within(rng, n, bound):
+    """A random n x n integer matrix of determinant +-1 with entries in +-bound:
+    row operations on the identity that keep the entries within the bound."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c = rng.choice((-1, 1))
+        row = [a if i == j else a + c * b for a, b in zip(M[i], M[j])]
+        if max(map(abs, row)) <= bound:
+            M[i] = row
+        M[i], M[j] = M[j], M[i]
+        if rng.random() < 0.5:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+def xt(*c):
+    return LatticeVector(c, lattice="X(T)")
+
+
 class TestVectors:
     def test_arithmetic(self):
         a = LatticeVector((1, 2))
@@ -84,6 +129,21 @@ class TestVectors:
     def test_bools_rejected(self):
         with pytest.raises(TypeError):
             LatticeVector((True, 0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LatticeVector((1.5, 2)),
+        lambda: LatticeVector((2.0, 2)),
+        lambda: DualVector((Fraction(1, 2), 0)),
+        lambda: LatticeVector(("1", 2)),
+        lambda: LatticeVector((1, 2)) * Fraction(1, 2),
+        lambda: LatticeVector((1, 2)) * 0.5,
+        lambda: monomial((0.9, 1)),
+        lambda: smith_normal_form([[1.5, 2]]),
+        lambda: Sublattice(2, ((1.5, 0),)),
+    ])
+    def test_non_integers_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
 
     def test_is_zero(self):
         assert LatticeVector((0, 0)).is_zero()
@@ -208,21 +268,17 @@ class TestKernelAndSolve:
         assert len(basis) == n - matrix_rank(A)
 
     def test_row_solve(self):
-        assert integer_row_solve([[2, 1], [0, 3]], (2, 7)) == (1, 2)
-        assert integer_row_solve([[2, 0]], (1, 0)) is None
-        assert integer_row_solve([[2, 0]], (4, 0)) == (2,)
+        assert Sublattice(2, ((2, 1), (0, 3))).coordinates(xt(2, 7)) == (1, 2)
+        assert Sublattice(2, ((2, 0),)).coordinates(xt(1, 0)) is None
+        assert Sublattice(2, ((2, 0),)).coordinates(xt(4, 0)) == (2,)
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(3), st.lists(int_entries, min_size=3, max_size=3))
     def test_row_solve_round_trip(self, B, xs):
-        x = xs[:len(B)]
-        v = tuple(sum(x[i] * B[i][j] for i in range(len(B)))
-                  for j in range(len(B[0])))
-        y = integer_row_solve(B, v)
-        assert y is not None
-        back = tuple(sum(y[i] * B[i][j] for i in range(len(B)))
-                     for j in range(len(B[0])))
-        assert back == v
+        assume(matrix_rank(B) == len(B))
+        sub = Sublattice(len(B[0]), B)
+        x = tuple(xs[:len(B)])
+        assert sub.coordinates(sub.embed(x)) == x
 
 
 class TestUnimodularInverse:
@@ -278,3 +334,81 @@ class TestSublattice:
         sub = Sublattice(3, ((1, 0, 0), (0, 1, 0)), lattice="X(T)")
         assert sub.rank == 2
         assert not sub.is_full
+
+    def test_empty_basis(self):
+        sub = Sublattice(3, ())
+        assert sub.rank == 0 and not sub.is_full
+        assert sub.coordinates(xt(0, 0, 0)) == ()
+        assert sub.coordinates(xt(0, 1, 0)) is None
+        assert sub.embed(()) == xt(0, 0, 0)
+        assert Sublattice(0, ()).is_full
+
+    def test_dependent_rows_rejected(self):
+        for rows in (((1, 2), (2, 4)), ((1, 0, 1), (0, 1, 1), (1, 1, 2)),
+                     ((0, 0),), ((1, 0), (0, 1), (1, 1))):
+            with pytest.raises(ValueError, match="not linearly independent"):
+                Sublattice(len(rows[0]), rows)
+
+    def test_equal_records_hash_equal(self):
+        a = Sublattice(2, [[1, 0], [0, 1]])
+        b = Sublattice.full(2)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == \
+            "Sublattice(ambient_rank=2, basis_rows=((1, 0), (0, 1)), lattice='X(T)')"
+        assert Sublattice(2, ((2, 0),)) != Sublattice(2, ((2, 0),), lattice="M")
+        assert len({a, b, Sublattice(2, ((1, 1), (0, 1)))}) == 2
+
+    def test_random_bases_up_to_rank_5(self):
+        # Seeded bases of rank 1-5 with entries in +-3, a fifth of them square
+        # and unimodular; each meets three kinds of target, and a Fraction
+        # solve is the reference.
+        rng = random.Random(5)
+        seen = Counter()
+        while seen["basis"] < 250:
+            rank = rng.randint(1, 5)
+            n = rng.randint(rank, 5)
+            if rng.random() < 0.2:
+                B, n = unimodular_within(rng, rank, 3), rank
+            else:
+                B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+                if rank > 1 and rng.random() < 0.2:
+                    B[-1] = [a - b for a, b in zip(B[0], B[1])]
+            if fraction_rank(B) < rank:
+                with pytest.raises(ValueError, match="not linearly independent"):
+                    Sublattice(n, B)
+                seen["dependent"] += 1
+                continue
+            sub = Sublattice(n, B)
+            seen["basis"] += 1
+            assert sub.is_full == (rank == n and abs(det(B)) == 1)
+            seen["full"] += sub.is_full
+            U, D, _ = smith_normal_form(B)
+            d = D[rank - 1][rank - 1]
+            seen["not saturated"] += d > 1
+            # U[-1] * B = d * w with U[-1] primitive, so c * w is an integer
+            # vector with non-integer coordinates c * U[-1] / d for 0 < c < d.
+            w = [sum(U[-1][i] * B[i][j] for i in range(rank)) // d for j in range(n)]
+            for _ in range(6):
+                x = [rng.randint(-4, 4) for _ in range(rank)]
+                v = tuple(sum(x[i] * B[i][j] for i in range(rank)) for j in range(n))
+                assert fraction_solve(B, v) == tuple(x)
+                assert sub.coordinates(xt(*v)) == tuple(x)
+                if d > 1:
+                    c = rng.randint(1, d - 1)
+                    v = tuple(c * a + b for a, b in zip(w, v))
+                    want = tuple(Fraction(c * u, d) + a for u, a in zip(U[-1], x))
+                    assert fraction_solve(B, v) == want
+                    assert any(a.denominator != 1 for a in want)
+                    assert sub.coordinates(xt(*v)) is None
+                    seen["rational target"] += 1
+                v = tuple(rng.randint(-6, 6) for _ in range(n))
+                want = fraction_solve(B, v)
+                if want is None:
+                    seen["random target outside the span"] += 1
+                elif any(a.denominator != 1 for a in want):
+                    seen["random target in the span, not the lattice"] += 1
+                    want = None
+                assert sub.coordinates(xt(*v)) == want
+        assert min(seen.values()) >= 25, seen
+        assert seen["basis"] - seen["not saturated"] >= 40, seen
+        assert seen["basis"] - seen["full"] >= 40, seen

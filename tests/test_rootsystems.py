@@ -315,3 +315,38 @@ class TestNilradical:
         rs = standard_root_system("A", 2)
         with pytest.raises(ValueError):
             nilradical_highest_weights(rs, frozenset({5}))
+
+
+def _highest_weights_by_all_levi_roots(rs, levi) -> tuple:
+    """The reference rule: alpha + gamma is no root for every positive Levi root gamma."""
+    positive = set(rs.coefficients)
+
+    def inside(coeff):
+        return all(c == 0 or i in levi for i, c in enumerate(coeff))
+
+    levi_roots = [coeff for coeff in rs.coefficients if inside(coeff)]
+    out = [beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
+           if not inside(coeff) and not any(
+               tuple(a + b for a, b in zip(coeff, gamma)) in positive for gamma in levi_roots)]
+    return tuple(sorted(out, key=lambda b: b.coords))
+
+
+CARTAN_TYPES_UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_simple_root_rule_matches_all_levi_roots():
+    assert len(CARTAN_TYPES_UP_TO_RANK_8) == 33
+    rng = random.Random(20260618)
+    cases = 0
+    for letter, rank in CARTAN_TYPES_UP_TO_RANK_8:
+        rs = standard_root_system(letter, rank)
+        levis = [frozenset(), frozenset(range(rank))]
+        levis += [frozenset(i for i in range(rank) if rng.random() < 0.5) for _ in range(12)]
+        for levi in levis:
+            assert nilradical_highest_weights(rs, levi) \
+                == _highest_weights_by_all_levi_roots(rs, levi), (letter, rank, sorted(levi))
+            cases += 1
+    assert cases == 462
