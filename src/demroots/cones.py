@@ -1,11 +1,12 @@
 """Strictly convex lattice cones: double description, Hilbert bases, ray tests.
 
 A cone is stored with both descriptions. ``build_cone`` takes generators in the
-dual lattice N, computes the dual cone's V-representation by incremental
-halfspace insertion (double description with the combinatorial adjacency test),
-rejects cones containing a line (with a witness direction), and derives facet
-normals and extremal rays. Low-dimensional cones, single rays and the zero cone
-are all first-class.
+dual lattice N and computes the dual cone's V-representation: it splits off the
+lineality once, then runs a pointed double description from the simplicial
+cone of independent halfspaces with the combinatorial adjacency test (Fukuda
+and Prodon 1996). It rejects cones containing a line (with a witness direction)
+and derives facet normals and extremal rays. Low-dimensional cones, single
+rays and the zero cone are all first-class.
 
 ``dual_monoid`` computes the Hilbert basis of the monoid of lattice points of
 the dual cone: unit directions (when the dual cone has lineality) are returned
@@ -26,6 +27,8 @@ from .lattice import (
     LatticeVector,
     RankMismatch,
     Sublattice,
+    _bareiss,
+    _transform,
     box_points,
     dot,
     integer_kernel,
@@ -45,129 +48,69 @@ class ContainsLine(ValueError):
             f"cone is not strictly convex: it contains the line through {tuple(line)}")
 
 
-@dataclass(frozen=True)
-class _Ray:
-    vec: tuple
-    active: frozenset
+def _lineality_split(halves: Sequence[tuple], rank: int):
+    """(units, V, section) for the lineality {y : <f, y> = 0 for all halves}.
+
+    units is integer_kernel's basis, in its order. With V from the Smith form
+    of the units, y * V lists y in the basis of rows of V^-1; the first
+    len(units) rows span the units, the rest (the section) lift the quotient.
+    """
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    units = integer_kernel(halves, rank) if matrix_rank(halves) < rank else []
+    if len(units) in (0, rank):
+        return units, identity, identity[len(units):]
+    _, D, V = smith_normal_form(units)
+    assert all(D[i][i] == 1 for i in range(len(units))), "the lineality is saturated"
+    return units, V, unimodular_inverse(V)[len(units):]
 
 
 def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     """V-representation (lineality basis, extreme rays) of {y : <f, y> >= 0}.
 
-    Rays are primitive, reduced modulo the lineality lattice and sorted, so the
-    output is canonical for a given halfspace set.
+    On the quotient by the lineality, the simplicial cone of independent halves
+    takes the others one at a time, each ray carrying the processed halves
+    vanishing on it. Rays are primitive, lifted through the section and sorted,
+    so the output is canonical for a given halfspace set.
     """
-    seen = set()
-    halves = []
-    for f in functionals:
-        if not any(f):
-            continue
-        p = primitive_tuple(f)
-        if p not in seen:
-            seen.add(p)
-            halves.append(p)
+    halves = list(dict.fromkeys(primitive_tuple(f) for f in functionals if any(f)))
+    units, _, section = _lineality_split(halves, rank)
+    # Without units the section is the identity.
+    rows = [tuple(dot(f, s) for s in section) for f in halves] if units else halves
 
-    lineality = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    rays: list = []
-    done: list = []
+    # The pivot rows P are independent; _transform on P^T gives rows T_c with
+    # <P_j, T_c> = det * [j == c]: det * T_c spans the ray where all but P_c vanish.
+    pivots = [r for r, _, _ in _bareiss(rows)[1]]
+    det, transform = _transform(list(zip(*(rows[r] for r in pivots))), len(pivots))
+    rays = [(primitive_tuple(tuple(det * x for x in transform[c])),
+             frozenset(pivots[:c] + pivots[c + 1:])) for c in range(len(pivots))]
 
-    for a in halves:
-        vals = [dot(a, l) for l in lineality]
-        if any(vals):
-            j0 = next(j for j, v in enumerate(vals) if v)
-            l0, v0 = lineality[j0], vals[j0]
-            if v0 < 0:
-                l0, v0 = tuple(-x for x in l0), -v0
-            new_lin = []
-            for j, (l, v) in enumerate(zip(lineality, vals)):
-                if j == j0:
+    for idx in sorted(set(range(len(rows))) - set(pivots)):
+        a = rows[idx]
+        plus, minus, new_rays = [], [], []
+        for ray in rays:
+            value = dot(a, ray[0])
+            if value > 0:
+                plus.append((ray, value))
+                new_rays.append(ray)
+            elif value < 0:
+                minus.append((ray, value))
+            else:
+                new_rays.append((ray[0], ray[1] | {idx}))
+        # p and q are adjacent iff no third ray is active on all their common halves.
+        for p, pa in plus:
+            for q, qa in minus:
+                common = p[1] & q[1]
+                if any(r[1] >= common for r in rays if r is not p and r is not q):
                     continue
-                if v == 0:
-                    new_lin.append(l)
-                else:
-                    new_lin.append(primitive_tuple(
-                        tuple(v0 * x - v * y for x, y in zip(l, l0))))
-            new_rays = []
-            for r in rays:
-                va = dot(a, r.vec)
-                if va == 0:
-                    new_rays.append(_Ray(r.vec, r.active | {len(done)}))
-                else:
-                    vec = primitive_tuple(
-                        tuple(v0 * x - va * y for x, y in zip(r.vec, l0)))
-                    new_rays.append(_Ray(vec, r.active | {len(done)}))
-            new_rays.append(_Ray(l0, frozenset(range(len(done)))))
-            lineality, rays = new_lin, new_rays
-        else:
-            plus = [r for r in rays if dot(a, r.vec) > 0]
-            zero = [r for r in rays if dot(a, r.vec) == 0]
-            minus = [r for r in rays if dot(a, r.vec) < 0]
-            idx = len(done)
-            new_rays = [_Ray(r.vec, r.active | {idx}) for r in zero]
-            new_rays += [_Ray(r.vec, r.active) for r in plus]
-            for p in plus:
-                for q in minus:
-                    common = p.active & q.active
-                    blocked = any(r is not p and r is not q and r.active >= common
-                                  for r in rays)
-                    if blocked:
-                        continue
-                    pa, qa = dot(a, p.vec), dot(a, q.vec)
-                    vec = tuple(pa * y - qa * x for x, y in zip(p.vec, q.vec))
-                    assert any(vec), "combination of opposite rays"
-                    vec = primitive_tuple(vec)
-                    active = frozenset(
-                        j for j, f in enumerate(done) if dot(f, vec) == 0) | {idx}
-                    new_rays.append(_Ray(vec, active))
-            dedup = {}
-            for r in new_rays:
-                dedup.setdefault(r.vec, r)
-            rays = list(dedup.values())
-        done.append(a)
+                vec = tuple(pa * y - qa * x for x, y in zip(p[0], q[0]))
+                new_rays.append((primitive_tuple(vec), common | {idx}))
+        rays = new_rays
 
-    # Saturated, canonical lineality lattice.
-    dim = matrix_rank(halves)
-    lin_basis = integer_kernel(halves, rank) if dim < rank else []
-
-    # Prune rays to the extremal ones (rank of active halfspaces = rank(H) - 1)
-    # and canonicalize them modulo the lineality lattice.
-    target = dim - 1
-    reduce_mod = _lattice_reducer(lin_basis, rank)
-    final = set()
-    for r in rays:
-        active = [f for f in halves if dot(f, r.vec) == 0]
-        if matrix_rank(active) != target:
-            continue
-        vec = reduce_mod(r.vec)
-        if any(vec):
-            final.add(primitive_tuple(vec))
-    return sorted(lin_basis), sorted(final)
-
-
-def _saturated_split(basis: Sequence[tuple]):
-    """(V, V^-1) for the Smith normal form U * basis * V = (I | 0) of the rows
-    of a saturated sublattice: x * V lists x in the basis of Z^n given by the
-    rows of V^-1, whose first len(basis) rows span the sublattice."""
-    _, D, V = smith_normal_form(basis)
-    assert all(D[i][i] == 1 for i in range(len(basis))), "sublattice must be saturated"
-    return V, unimodular_inverse(V)
-
-
-def _lattice_reducer(basis: Sequence[tuple], rank: int):
-    """Map x to its canonical representative modulo the (saturated) lattice."""
-    if not basis:
-        return lambda vec: vec
-    k = len(basis)
-    V, Vinv = _saturated_split(basis)
-
-    def reduce(vec):
-        # coeffs = vec * V; zero out the k lattice coordinates, map back with V^-1.
-        coeffs = [sum(vec[i] * V[i][j] for i in range(rank)) for j in range(rank)]
-        trimmed = [0] * k + coeffs[k:]
-        return tuple(sum(trimmed[i] * Vinv[i][j] for i in range(rank))
-                     for j in range(rank))
-
-    return reduce
+    rays = [y for y, _ in rays]
+    if units:
+        rays = [tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank))
+                for y in rays]
+    return sorted(units), sorted(rays)
 
 
 @dataclass(frozen=True)
@@ -343,17 +286,10 @@ def _monoid_basis(functionals: Sequence[tuple], rank: int, v_rep=None) -> list:
     if not lineality:
         return _pointed_hilbert_basis(halves, rays)
 
-    units = integer_kernel(halves, rank)
+    units, V, section = _lineality_split(halves, rank)
     basis = sorted({v for u in units for v in (u, tuple(-x for x in u))})
-    k = len(units)
-    if k == rank:
-        return basis
-
-    V, Vinv = _saturated_split(units)
-    # The first k rows of V^-1 span the units, so y -> sum y[i] * section[i]
-    # lifts the quotient and f pulls back to f o lift.
-    section = [Vinv[i] for i in range(k, rank)]
-    columns = [tuple(V[i][j] for i in range(rank)) for j in range(k, rank)]
+    # Columns of V past the units give quotient coordinates; f pulls back to f o lift.
+    columns = [tuple(V[i][j] for i in range(rank)) for j in range(len(units), rank)]
     quotient_rows = [tuple(dot(f, s) for s in section) for f in halves]
     quotient_rays = sorted({primitive_tuple(p) for p in (
         tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
@@ -378,11 +314,7 @@ def dual_monoid(cone: Cone, sublattice: Optional[Sublattice] = None) -> WeightMo
     if sublattice.ambient_rank != cone.rank:
         raise RankMismatch(
             f"sublattice ambient rank {sublattice.ambient_rank} does not match cone rank {cone.rank}")
-    pulled = []
-    for f in functionals:
-        g = tuple(dot(row, f) for row in sublattice.basis_rows)
-        if any(g):
-            pulled.append(g)
+    pulled = [tuple(dot(row, f) for row in sublattice.basis_rows) for f in functionals]
     basis = _monoid_basis(pulled, sublattice.rank)
     embedded = sorted(sublattice.embed(y).coords for y in basis)
     return WeightMonoid(cone, tuple(LatticeVector(v, sublattice.lattice) for v in embedded))

@@ -7,8 +7,8 @@ of the weight sublattice inside the ambient lattice. "divisors" lists the
 B-stable prime divisors with their valuation vectors in the basis dual to
 the declared one.
 
-Parsing is strict: unknown keys, booleans posing as integers, or malformed
-shapes are rejected with the JSON path of the offending field. Serialization
+Parsing is strict: duplicate or unknown keys, booleans posing as integers, or
+malformed shapes are rejected with the JSON path of the offending field. Serialization
 is canonical, so parse followed by serialize reproduces a file byte for byte
 once it is in canonical form.
 """
@@ -28,12 +28,21 @@ class DatumFormatError(ValueError):
 
 def parse_datum(text: str) -> SphericalDatum:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DatumFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DatumFormatError("not valid JSON: nested too deeply") from exc
     return _parse_document(doc)
+
+
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DatumFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def read_datum(path) -> SphericalDatum:

@@ -16,7 +16,8 @@ from math import comb
 from typing import Optional
 
 from .cones import Cone
-from .lattice import DualVector, LatticeVector, RankMismatch, Sublattice, lattice_points, pairing
+from .lattice import DualVector, LatticeVector, RankMismatch, Sublattice, box_points, \
+    lattice_points, pairing
 
 
 def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
@@ -63,11 +64,17 @@ def demazure_root(cone: Cone, mu: LatticeVector) -> DemazureRoot:
     return DemazureRoot(mu, rho, cone)
 
 
+def _root_rows(cone: Cone, rho: DualVector) -> list:
+    """Rows (a, b), meaning a.mu >= b, of the roots pinning the extremal ray
+    rho: <rho, mu> = -1 as two rows, and >= 0 on the other rays."""
+    others = [(r.coords, 0) for r in cone.extremal_rays if r != rho]
+    return [(rho.coords, -1), ((-rho).coords, 1)] + others
+
+
 def ray_root_points(cone: Cone, rho: DualVector, bound: int):
     """Coordinates of the roots pinning the extremal ray rho, sup-norm <= bound,
-    in (sup-norm, 1-norm, lex) order: <rho, mu> = -1, the other rays >= 0."""
-    others = [(r.coords, 0) for r in cone.extremal_rays if r != rho]
-    return lattice_points(cone.rank, bound, ge=others, eq=[(rho.coords, -1)])
+    in (sup-norm, 1-norm, lex) order."""
+    return lattice_points(cone.rank, bound, ge=_root_rows(cone, rho))
 
 
 def enumerate_demazure_roots(cone: Cone, bound: int,
@@ -80,8 +87,9 @@ def enumerate_demazure_roots(cone: Cone, bound: int,
         raise ValueError("bound must be nonnegative")
     if sublattice is not None and sublattice.ambient_rank != cone.rank:
         raise RankMismatch("sublattice ambient rank does not match the cone")
+    lo, hi = [-bound] * cone.rank, [bound] * cone.rank
     roots = ((rho, LatticeVector(coords, cone.lattice)) for rho in cone.extremal_rays
-             for coords in sorted(ray_root_points(cone, rho, bound)))
+             for coords in box_points(lo, hi, _root_rows(cone, rho)))
     return tuple(DemazureRoot(mu, rho, cone) for rho, mu in roots
                  if sublattice is None or sublattice.contains(mu))
 

@@ -102,6 +102,14 @@ class TestNoTraceback:
         proc = run_cli("validate", str(p), expect=1)
         assert_one_error(proc, "nested too deeply")
 
+    def test_duplicate_key(self, tmp_path):
+        text = (DATA / "torus-quadrant.json").read_text()
+        p = tmp_path / "twice.json"
+        p.write_text(text.replace('"divisors": [', '"divisors": [], "divisors": [', 1))
+        proc = run_cli("validate", str(p), expect=1)
+        assert proc.stdout == ""
+        assert_one_error(proc, "duplicate key 'divisors'")
+
     def test_rank5_record_over_the_cap(self, tmp_path):
         kappas = [[int(i == j) for j in range(5)] for i in range(4)] + \
             [[1, 1, 1, 1, -2], [0, 0, 0, 0, 1], [2, -1, 0, 3, 1], [5, 7, 0, 0, -9]]

@@ -4,8 +4,8 @@ from itertools import combinations, product
 
 import pytest
 
-from demroots.cones import (Cone, ContainsLine, WeightMonoid, build_cone,
-                            dual_monoid, on_nonnegative_ray)
+from demroots.cones import (Cone, ContainsLine, WeightMonoid, _dual_v_representation,
+                            build_cone, dual_monoid, on_nonnegative_ray)
 from demroots.lattice import DualVector, LatticeVector, Sublattice
 
 from conftest import in_cone_oracle, random_pointed_cone, verify_hilbert_basis
@@ -134,6 +134,78 @@ class TestDoubleDescriptionAgainstOracle:
                 assert not in_cone_oracle(others, r), (gens, r)
             for g in nonzero:
                 assert in_cone_oracle(rays, g), (gens, g)
+
+
+def _rank(rows):
+    """Rank over the rationals, by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def _random_halves(rnd):
+    """A raw halfspace set of rank 1-5, few of rank 4-5 where the oracle is
+    slow, with one extra half: an opposite, a sum of two halves, a multiple,
+    or zero."""
+    rank = rnd.choices(range(1, 6), weights=(5, 6, 6, 2, 1))[0]
+    entry, most = (3, 5) if rank <= 3 else (2, 4)
+    halves = [tuple(rnd.randint(-entry, entry) for _ in range(rank))
+              for _ in range(rnd.randint(0, most))]
+    if halves:
+        a, b = rnd.choice(halves), rnd.choice(halves)
+        halves.append(rnd.choice((tuple(-x for x in a), tuple(x + y for x, y in zip(a, b)),
+                                  tuple(2 * x for x in a), (0,) * rank)))
+        rnd.shuffle(halves)
+    return rank, halves
+
+
+class TestDoubleDescriptionOnRawHalfspaces:
+    """_dual_v_representation on random halfspace sets, lineality included,
+    against V-side rational solves."""
+
+    def test_random_halfspace_sets(self):
+        rnd = random.Random(2024)
+        kinds = dict(lineality=0, opposite=0, redundant=0)
+        for _ in range(2000):
+            rank, halves = _random_halves(rnd)
+            lin, rays = _dual_v_representation(halves, rank)
+            # The units and minus their sum span the lineality as a cone.
+            units = lin + [tuple(-sum(c) for c in zip(*lin))] if lin else []
+            nonzero = {h for h in halves if any(h)}
+            kinds["lineality"] += bool(lin)
+            kinds["opposite"] += any(tuple(-x for x in h) in nonzero for h in nonzero)
+            kinds["redundant"] += any(tuple(x + y for x, y in zip(a, b)) in nonzero
+                                      for a, b in combinations(nonzero, 2))
+
+            # Probe beside the rays and at random; a grid on the line.
+            probes = 2 if rank <= 3 else 1
+            pts = [tuple(x + s * (i == j) for j, x in enumerate(r))
+                   for r in rays for i in range(rank) for s in (1, -1)]
+            pts = rnd.sample(pts, min(probes, len(pts)))
+            pts += [tuple(Fraction(rnd.randint(-6, 6), rnd.randint(1, 2))
+                          for _ in range(rank)) for _ in range(probes)]
+            if rank == 1:
+                pts += [(-1,), (0,), (1,)]
+            for p in pts:
+                inside = all(sum(f * x for f, x in zip(h, p)) >= 0 for h in halves)
+                assert inside == in_cone_oracle(rays + units, p), (halves, p)
+
+            dim = _rank(halves)
+            for i, r in enumerate(rays):
+                active = [h for h in halves if sum(f * x for f, x in zip(h, r)) == 0]
+                assert _rank(active) == dim - 1, (halves, r)
+                assert not in_cone_oracle(rays[:i] + rays[i + 1:] + units, r), (halves, r)
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestDualMonoid:

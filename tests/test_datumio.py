@@ -153,3 +153,13 @@ class TestRejection:
         doc = valid_doc()
         doc["divisors"] = ["axis"]
         _expect_reject(doc)
+
+    def test_duplicate_keys(self):
+        text = json.dumps(valid_doc())
+        twice = {
+            "divisors": text[:-1] + ', "divisors": []}',
+            "kappa": text.replace('"kappa": [0, 1]', '"kappa": [0, 1], "kappa": [1, 1]'),
+        }
+        for key, doc in twice.items():
+            with pytest.raises(DatumFormatError, match=f"duplicate key '{key}'"):
+                parse_datum(doc)
