@@ -1,20 +1,19 @@
 """Strictly convex lattice cones: double description, Hilbert bases, ray tests.
 
-A cone is stored with both descriptions. ``build_cone`` takes generators in the
-dual lattice N and computes the dual cone's V-representation: it splits off the
-lineality once, then runs a pointed double description from the simplicial
-cone of independent halfspaces with the combinatorial adjacency test (Fukuda
-and Prodon 1996). It rejects cones containing a line (with a witness direction)
-and derives facet normals and extremal rays. Low-dimensional cones, single
-rays and the zero cone are all first-class.
+``build_cone`` takes generators in the dual lattice N and describes the dual
+cone once, on its quotient by the lineality: one fraction-free elimination of
+the halfspaces gives their rank and an independent subset, the Smith form of
+the lineality basis gives a section that lifts the quotient back, and a pointed
+double description starts from the simplicial cone of the independent
+halfspaces and uses the combinatorial adjacency test (Fukuda and Prodon 1996).
+The cone keeps that quotient. Its lifted rays give the facet normals, the line
+witness of a cone that is not strictly convex, and the extremal rays.
+Low-dimensional cones, single rays and the zero cone are all first-class.
 
-``dual_monoid`` computes the Hilbert basis of the monoid of lattice points of
-the dual cone: unit directions (when the dual cone has lineality) are returned
-as a lattice basis and its negatives, and the pointed part is found by degree.
-Its candidates are the lattice points of the generator zonotope's box whose
-degree (the sum of the inequalities) is at most that of dim rays; in degree
-order, a candidate is kept unless an element kept before it has row values
-componentwise at most its own. Boxes over _ZONOTOPE_CAP points are refused.
+``dual_monoid`` reads the stored quotient. The Hilbert basis of the dual cone's
+lattice points is the lineality basis with its negatives and the lifted
+irreducibles of the pointed quotient, found by degree among the lattice points
+of the ray zonotope's box; boxes over _ZONOTOPE_CAP points are refused.
 """
 
 from __future__ import annotations
@@ -48,38 +47,37 @@ class ContainsLine(ValueError):
             f"cone is not strictly convex: it contains the line through {tuple(line)}")
 
 
-def _lineality_split(halves: Sequence[tuple], rank: int):
-    """(units, V, section) for the lineality {y : <f, y> = 0 for all halves}.
-
-    units is integer_kernel's basis, in its order. With V from the Smith form
-    of the units, y * V lists y in the basis of rows of V^-1; the first
-    len(units) rows span the units, the rest (the section) lift the quotient.
-    """
-    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    units = integer_kernel(halves, rank) if matrix_rank(halves) < rank else []
-    if len(units) in (0, rank):
-        return units, identity, identity[len(units):]
-    _, D, V = smith_normal_form(units)
-    assert all(D[i][i] == 1 for i in range(len(units))), "the lineality is saturated"
-    return units, V, unimodular_inverse(V)[len(units):]
+def _lift(section: Sequence[tuple], vectors) -> list:
+    """Quotient coordinates y to the ambient vectors sum_i y_i * section_i."""
+    columns = list(zip(*section))
+    return [tuple(dot(y, c) for c in columns) for y in vectors]
 
 
 def _dual_v_representation(functionals: Sequence[tuple], rank: int):
-    """V-representation (lineality basis, extreme rays) of {y : <f, y> >= 0}.
+    """The cone {y : <f, y> >= 0} on its quotient by the lineality, as
+    (units, section, rows, rays).
 
-    On the quotient by the lineality, the simplicial cone of independent halves
-    takes the others one at a time, each ray carrying the processed halves
-    vanishing on it. Rays are primitive, lifted through the section and sorted,
-    so the output is canonical for a given halfspace set.
+    units is integer_kernel's basis of the lineality, in its order. With V
+    from the Smith form of the units, the rows of V^-1 past the units are the
+    section, which lifts quotient coordinates back (see _lift). rows are the
+    distinct primitive halves in quotient coordinates, and rays the sorted
+    primitive extreme rays of the pointed cone they cut out: the simplicial
+    cone of independent rows takes the others one at a time, each ray
+    carrying the processed rows vanishing on it.
     """
     halves = list(dict.fromkeys(primitive_tuple(f) for f in functionals if any(f)))
-    units, _, section = _lineality_split(halves, rank)
-    # Without units the section is the identity.
+    pivots = [r for r, _, _ in _bareiss(halves)[1]]
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    units, section = [], identity
+    if len(pivots) < rank:
+        units = integer_kernel(halves, rank)
+        section = unimodular_inverse(smith_normal_form(units)[2])[len(units):] if pivots else ()
+    # Every half vanishes on the units, so the projection keeps the relations
+    # among them: the pivot rows stay independent in quotient coordinates.
     rows = [tuple(dot(f, s) for s in section) for f in halves] if units else halves
 
-    # The pivot rows P are independent; _transform on P^T gives rows T_c with
+    # _transform on P^T, P the pivot rows, gives rows T_c with
     # <P_j, T_c> = det * [j == c]: det * T_c spans the ray where all but P_c vanish.
-    pivots = [r for r, _, _ in _bareiss(rows)[1]]
     det, transform = _transform(list(zip(*(rows[r] for r in pivots))), len(pivots))
     rays = [(primitive_tuple(tuple(det * x for x in transform[c])),
              frozenset(pivots[:c] + pivots[c + 1:])) for c in range(len(pivots))]
@@ -105,12 +103,7 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
                 vec = tuple(pa * y - qa * x for x, y in zip(p[0], q[0]))
                 new_rays.append((primitive_tuple(vec), common | {idx}))
         rays = new_rays
-
-    rays = [y for y, _ in rays]
-    if units:
-        rays = [tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank))
-                for y in rays]
-    return sorted(units), sorted(rays)
+    return tuple(units), section, tuple(rows), tuple(sorted(y for y, _ in rays))
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,9 @@ class Cone:
     generators may be redundant; extremal_rays and facet_normals are computed,
     primitive and lexicographically sorted. facet_normals describe the cone
     exactly: x is in the cone iff <normal, x> >= 0 for every normal (equations
-    cutting out the span appear as +/- pairs).
+    cutting out the span appear as +/- pairs). build_cone also keeps the dual
+    cone's quotient by its lineality, as _dual_v_representation returns it,
+    for dual_monoid.
     """
 
     rank: int
@@ -130,6 +125,7 @@ class Cone:
     dual_rays: tuple = field(compare=False, repr=False)
     dual_lineality: tuple = field(compare=False, repr=False)
     lattice: str = "M"
+    _quotient: tuple = field(default=None, compare=False, repr=False)
 
     def contains(self, v: DualVector) -> bool:
         if v.lattice != self.lattice:
@@ -179,34 +175,30 @@ def build_cone(generators: Sequence[DualVector], rank: Optional[int] = None,
             lattice = "M"
 
     functionals = [g.coords for g in gens if not g.is_zero()]
-    lin, rays = _dual_v_representation(functionals, rank)
-
-    span_rows = list(lin) + list(rays)
-    if matrix_rank(span_rows) < rank:
-        witness = integer_kernel(span_rows, rank)[0]
-        raise ContainsLine(primitive_tuple(witness), lattice)
-
+    quotient = _dual_v_representation(functionals, rank)
+    units, section, _, quotient_rays = quotient
+    lin, rays = sorted(units), sorted(_lift(section, quotient_rays))
+    if matrix_rank(quotient_rays) < len(section):
+        raise ContainsLine(primitive_tuple(integer_kernel(lin + rays, rank)[0]), lattice)
     normals = sorted({v for l in lin for v in (l, tuple(-x for x in l))} | set(rays))
-    facet_normals = tuple(LatticeVector(v, lattice) for v in normals)
 
-    # Every extremal ray of cone(generators) passes through a generator; a
-    # candidate is extremal iff its active facets cut out a one-dimensional face.
-    facet_vecs = [n.coords for n in facet_normals]
-    candidates = sorted({primitive_tuple(g.coords) for g in gens if not g.is_zero()})
-    extremal = []
-    for c in candidates:
-        active = [f for f in facet_vecs if dot(f, c) == 0]
-        if matrix_rank(active) == rank - 1:
-            extremal.append(DualVector(c, lattice))
+    # Every extremal ray of the pointed cone passes through a generator, and
+    # the face a candidate spans is cut out by its active facets: the
+    # candidate is extremal iff no other candidate is active on all of them.
+    candidates = sorted({primitive_tuple(f) for f in functionals})
+    active = [frozenset(i for i, r in enumerate(rays) if dot(r, c) == 0) for c in candidates]
+    extremal = [DualVector(c, lattice) for i, c in enumerate(candidates)
+                if not any(j != i and b >= active[i] for j, b in enumerate(active))]
 
     return Cone(
         rank=rank,
         generators=gens,
         extremal_rays=tuple(extremal),
-        facet_normals=facet_normals,
+        facet_normals=tuple(LatticeVector(v, lattice) for v in normals),
         dual_rays=tuple(rays),
         dual_lineality=tuple(lin),
         lattice=lattice,
+        _quotient=quotient,
     )
 
 
@@ -227,13 +219,16 @@ def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
 
 @dataclass(frozen=True)
 class WeightMonoid:
-    """The monoid of dual-cone lattice points, with its minimal generating set."""
+    """The monoid of dual-cone lattice points, in the sublattice when one is
+    given, with its minimal generating set."""
 
     cone: Cone
     hilbert_basis: tuple
+    sublattice: Optional[Sublattice] = None
 
     def contains(self, lam: LatticeVector) -> bool:
-        return self.cone.dual_contains(lam)
+        return self.cone.dual_contains(lam) and (
+            self.sublattice is None or self.sublattice.contains(lam))
 
 
 _ZONOTOPE_CAP = 2_000_000
@@ -260,7 +255,6 @@ def _pointed_hilbert_basis(rows: Sequence[tuple], ray_gens: Sequence[tuple]) -> 
         size *= b - a + 1
         if size > _ZONOTOPE_CAP:
             raise ValueError("zonotope lattice-point enumeration is too large")
-    rows = list(dict.fromkeys(primitive_tuple(f) for f in rows))
     degree = tuple(map(sum, zip(*rows)))
     top = sum(sorted((dot(degree, g) for g in ray_gens), reverse=True)[:dim])
     ge = [(f, 0) for f in rows] + [(tuple(-d for d in degree), -top)]
@@ -273,48 +267,36 @@ def _pointed_hilbert_basis(rows: Sequence[tuple], ray_gens: Sequence[tuple]) -> 
     return sorted(p for _, p in basis)
 
 
-def _monoid_basis(functionals: Sequence[tuple], rank: int, v_rep=None) -> list:
-    """Minimal generating set of {y in Z^rank : <f, y> >= 0 for all functionals}.
-
-    v_rep is the (lineality, rays) pair of _dual_v_representation on the
-    functionals when the caller has it already. Units (the lineality of the
-    solution cone) contribute a lattice basis and its negatives; the pointed
-    quotient contributes lifted irreducibles.
+def _monoid_basis(quotient) -> list:
+    """Minimal generating set of the lattice points of the cone that
+    _dual_v_representation returned as quotient: the units and their
+    negatives, and the irreducibles of the pointed quotient, lifted.
     """
-    halves = [tuple(f) for f in functionals if any(f)]
-    lineality, rays = v_rep or _dual_v_representation(halves, rank)
-    if not lineality:
-        return _pointed_hilbert_basis(halves, rays)
-
-    units, V, section = _lineality_split(halves, rank)
-    basis = sorted({v for u in units for v in (u, tuple(-x for x in u))})
-    # Columns of V past the units give quotient coordinates; f pulls back to f o lift.
-    columns = [tuple(V[i][j] for i in range(rank)) for j in range(len(units), rank)]
-    quotient_rows = [tuple(dot(f, s) for s in section) for f in halves]
-    quotient_rays = sorted({primitive_tuple(p) for p in (
-        tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
-
-    for y in _pointed_hilbert_basis(quotient_rows, quotient_rays):
-        basis.append(tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank)))
-    return sorted(basis)
+    units, section, rows, rays = quotient
+    basis = {v for u in units for v in (u, tuple(-x for x in u))}
+    return sorted(basis.union(_lift(section, _pointed_hilbert_basis(rows, rays))))
 
 
 def dual_monoid(cone: Cone, sublattice: Optional[Sublattice] = None) -> WeightMonoid:
     """Hilbert basis of the lattice points of the dual cone.
 
-    With a sublattice the monoid is intersected with it: the computation is
-    pulled back to the sublattice's coordinates and the basis re-embedded, so
-    the returned vectors are ambient and all lie in the sublattice.
+    Without a sublattice this reads the quotient that build_cone kept. With
+    one, the monoid is intersected with it: the double description runs on the
+    functionals pulled back to the sublattice's coordinates and the basis is
+    re-embedded, so the returned vectors are ambient and all lie in the
+    sublattice, which the monoid keeps for its membership test.
     """
-    functionals = [g.coords for g in cone.generators if not g.is_zero()]
     if sublattice is None:
-        basis = _monoid_basis(functionals, cone.rank, (cone.dual_lineality, cone.dual_rays))
+        basis = _monoid_basis(cone._quotient)
         return WeightMonoid(cone, tuple(LatticeVector(v, cone.lattice) for v in basis))
 
     if sublattice.ambient_rank != cone.rank:
         raise RankMismatch(
             f"sublattice ambient rank {sublattice.ambient_rank} does not match cone rank {cone.rank}")
-    pulled = [tuple(dot(row, f) for row in sublattice.basis_rows) for f in functionals]
-    basis = _monoid_basis(pulled, sublattice.rank)
+    if sublattice.lattice != cone.lattice:
+        raise RankMismatch(
+            f"sublattice of {sublattice.lattice!r} does not match a cone over {cone.lattice!r}")
+    pulled = [tuple(dot(row, g.coords) for row in sublattice.basis_rows) for g in cone.generators]
+    basis = _monoid_basis(_dual_v_representation(pulled, sublattice.rank))
     embedded = sorted(sublattice.embed(y).coords for y in basis)
-    return WeightMonoid(cone, tuple(LatticeVector(v, sublattice.lattice) for v in embedded))
+    return WeightMonoid(cone, tuple(LatticeVector(v, cone.lattice) for v in embedded), sublattice)

@@ -58,10 +58,7 @@ class DemazureRoot:
 
 
 def demazure_root(cone: Cone, mu: LatticeVector) -> DemazureRoot:
-    rho = demazure_ray(cone, mu)
-    if rho is None:
-        raise ValueError(f"{mu.coords} is not a Demazure root of the cone")
-    return DemazureRoot(mu, rho, cone)
+    return DemazureRoot(mu, demazure_ray(cone, mu), cone)
 
 
 def _root_rows(cone: Cone, rho: DualVector) -> list:

@@ -6,7 +6,8 @@ import pytest
 
 from demroots.cones import (Cone, ContainsLine, WeightMonoid, _dual_v_representation,
                             build_cone, dual_monoid, on_nonnegative_ray)
-from demroots.lattice import DualVector, LatticeVector, Sublattice
+from demroots import cones, lattice
+from demroots.lattice import DualVector, LatticeVector, RankMismatch, Sublattice, primitive_tuple
 
 from conftest import in_cone_oracle, random_pointed_cone, verify_hilbert_basis
 
@@ -153,6 +154,24 @@ def _rank(rows):
     return rank
 
 
+def _det(rows):
+    """Determinant over the rationals, by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        i = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if i is None:
+            return 0
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in rows[c + 1:]:
+            f = r[c] / rows[c][c]
+            r[:] = [a - f * b for a, b in zip(r, rows[c])]
+    return det
+
+
 def _random_halves(rnd):
     """A raw halfspace set of rank 1-5, few of rank 4-5 where the oracle is
     slow, with one extra half: an opposite, a sum of two halves, a multiple,
@@ -171,14 +190,23 @@ def _random_halves(rnd):
 
 class TestDoubleDescriptionOnRawHalfspaces:
     """_dual_v_representation on random halfspace sets, lineality included,
-    against V-side rational solves."""
+    against V-side rational solves, with its rays lifted from the quotient."""
 
     def test_random_halfspace_sets(self):
         rnd = random.Random(2024)
         kinds = dict(lineality=0, opposite=0, redundant=0)
         for _ in range(2000):
             rank, halves = _random_halves(rnd)
-            lin, rays = _dual_v_representation(halves, rank)
+            units_basis, section, rows, quotient_rays = _dual_v_representation(halves, rank)
+            lin = sorted(units_basis)
+            rays = sorted(tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank))
+                          for y in quotient_rays)
+            # The units and the section form a basis of Z^rank; the rows are
+            # the distinct primitive halves read on the section.
+            assert abs(_det(list(units_basis) + list(section))) == 1, halves
+            distinct = dict.fromkeys(primitive_tuple(h) for h in halves if any(h))
+            assert list(rows) == [tuple(sum(f * x for f, x in zip(h, s)) for s in section)
+                                  for h in distinct], halves
             # The units and minus their sum span the lineality as a cone.
             units = lin + [tuple(-sum(c) for c in zip(*lin))] if lin else []
             nonzero = {h for h in halves if any(h)}
@@ -277,3 +305,49 @@ class TestDualMonoid:
         for v in m.hilbert_basis:
             assert sub.contains(v)
             assert c.dual_contains(v)
+
+    def test_sublattice_membership(self):
+        c = build_cone([dv(1, 0), dv(0, 1)])
+        m = dual_monoid(c, Sublattice(2, ((2, 0), (0, 1)), "M"))
+        assert m.contains(lv(2, 3))
+        assert not m.contains(lv(1, 0))
+        assert dual_monoid(c).contains(lv(1, 0))
+
+    def test_sublattice_of_another_lattice_rejected(self):
+        c = build_cone([dv(1, 0), dv(0, 1)])
+        with pytest.raises(RankMismatch):
+            dual_monoid(c, Sublattice(2, ((2, 0), (0, 1))))
+
+
+class TestStoredQuotient:
+    """build_cone keeps the dual cone's quotient; dual_monoid only reads it."""
+
+    def test_dual_monoid_makes_no_smith_form(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        c = build_cone([dv(1, 0, 0), dv(0, 1, 0)])
+        assert c.dual_lineality
+        for module in (lattice, cones):
+            for name in ("smith_normal_form", "integer_kernel"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        build_cone([dv(1, 0, 0), dv(0, 1, 0)])
+        assert "smith_normal_form" in calls
+        calls.clear()
+        basis = [v.coords for v in dual_monoid(c).hilbert_basis]
+        assert basis == [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert calls == []
+
+    def test_equal_generators_equal_cones(self):
+        gens = [dv(1, 0, 0), dv(1, 2, 0), dv(0, 0, 0)]
+        a, b = build_cone(gens), build_cone(list(gens))
+        assert a == b and hash(a) == hash(b)
+        assert a._quotient == b._quotient
+        assert "_quotient" not in repr(a)
+        assert repr(a) == repr(b)

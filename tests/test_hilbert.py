@@ -41,7 +41,9 @@ def _reference_basis(functionals, rank):
     def member(y):
         return all(dot(f, lift(y)) >= 0 for f in halves)
 
-    _, rays = _dual_v_representation(halves, rank)
+    _, dd_section, _, dd_rays = _dual_v_representation(halves, rank)
+    rays = [tuple(sum(c * s[j] for c, s in zip(y, dd_section)) for j in range(rank))
+            for y in dd_rays]
     gens = sorted({primitive_tuple(p) for p in
                    (tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
     box = [range(sum(min(0, g[j]) for g in gens), sum(max(0, g[j]) for g in gens) + 1)
@@ -87,7 +89,7 @@ def test_degree_cut_matches_whole_box_scan():
     for cone, gens in cones:
         want = _reference_basis(gens, cone.rank)
         assert [v.coords for v in dual_monoid(cone).hilbert_basis] == want, gens
-        assert _monoid_basis(gens, cone.rank) == want, gens  # runs its own DD
+        assert _monoid_basis(_dual_v_representation(gens, cone.rank)) == want, gens
     lineality = sum(bool(cone.dual_lineality) for cone, _ in cones)
     assert 10 <= lineality <= 50
 
@@ -125,3 +127,24 @@ def test_rank5_record_validates_within_budget():
     assert elapsed < 10.0, f"rank-5 validate took {elapsed:.2f} s"
     basis = [v.coords for v in weight_monoid(datum).hilbert_basis]
     verify_hilbert_basis([d.kappa.coords for d in datum.divisors], basis, box_bound=1)
+
+
+def test_dual_monoid_ignores_generator_scaling():
+    """Scaling or repeating generators keeps the cone, so it keeps the basis,
+    and the basis holds each unit of the lineality with its negative."""
+    rnd = random.Random(11)
+    cones = [(c, g) for c, g in _random_cones(12, (2, 3, 4, 5), 200, 2, 400)
+             if c.dual_lineality and c.generators]
+    assert len(cones) >= 30
+    for cone, gens in cones:
+        want = [v.coords for v in dual_monoid(cone).hilbert_basis]
+        for u in cone.dual_lineality:
+            assert u in want and tuple(-x for x in u) in want, gens
+        scaled = [tuple(k * x for x in g) for k, g in ((rnd.randint(1, 3), g) for g in gens)]
+        scaled.append(rnd.choice(scaled))
+        other = build_cone([DualVector(g) for g in scaled], rank=cone.rank)
+        assert [v.coords for v in dual_monoid(other).hilbert_basis] == want, (gens, scaled)
+    gens = [(2, -2, 1, 2, -2), (1, 0, -1, 2, -1)]
+    bases = [[v.coords for v in dual_monoid(build_cone([DualVector(g) for g in gens + [last]]))
+              .hilbert_basis] for last in ((-2, -2, 2, -2, -2), (-1, -1, 1, -1, -1))]
+    assert bases[0] == bases[1]
