@@ -74,8 +74,7 @@ class Classification:
 def congruent_summand_weights(datum: SphericalDatum, mu: LatticeVector) -> tuple:
     """Nilradical summand highest weights alpha with mu - alpha in M."""
     _check_weight(datum, mu)
-    levi = levi_subset(datum)
-    omega = nilradical_highest_weights(datum.root_system, levi)
+    omega = nilradical_highest_weights(datum.root_system, levi_subset(datum))
     return tuple(a for a in omega if datum.weight_lattice.contains(mu - a))
 
 
@@ -87,10 +86,11 @@ def realizable_summand_weights(datum: SphericalDatum, subset: ColorSubset,
     chart's divisors, so that f_{mu - alpha} is a regular function there.
     """
     cone = slice_cone(datum, subset)
+    _check_weight(datum, mu)
     out = []
-    for a in congruent_summand_weights(datum, mu):
+    for a in nilradical_highest_weights(datum.root_system, levi_subset(datum)):
         coords = datum.weight_lattice.coordinates(mu - a)
-        if cone.dual_contains(LatticeVector(coords, lattice="M")):
+        if coords is not None and cone.dual_contains(LatticeVector(coords, lattice="M")):
             out.append(a)
     return tuple(out)
 

@@ -387,8 +387,9 @@ def _bareiss(matrix):
 class Sublattice:
     """A finite-rank subgroup of Z^ambient_rank given by independent basis rows.
 
-    The rows are reduced once by _transform; coordinates then cost one
-    matrix-vector product.
+    The rows are reduced once by _transform; _solver keeps the last pivot, the
+    pivot columns, and the columns of the T_c and of the rows, so coordinates
+    cost one matrix-vector product to solve and one to check.
     """
 
     ambient_rank: int
@@ -404,7 +405,9 @@ class Sublattice:
         det, transform = _transform(rows, self.ambient_rank)
         if any(c >= self.ambient_rank for c in transform):
             raise ValueError("basis rows are not linearly independent")
-        object.__setattr__(self, "_solver", (det, transform))
+        object.__setattr__(self, "_solver", (
+            det, tuple(transform), tuple(zip(*transform.values())),
+            tuple(tuple(r[j] for r in rows) for j in range(self.ambient_rank))))
 
     @classmethod
     def full(cls, rank: int, lattice: str = "X(T)") -> "Sublattice":
@@ -426,12 +429,13 @@ class Sublattice:
                 f"vector of {v.lattice!r} tested against a sublattice of {self.lattice!r}")
         if v.rank != self.ambient_rank:
             raise RankMismatch(f"rank mismatch: {v.rank} vs {self.ambient_rank}")
-        det, transform = self._solver
+        det, pivots, solve, columns = self._solver
         # Exact when v lies in the sublattice; otherwise no integer x embeds
         # to v, so the floor division needs no divisibility test of its own.
-        x = tuple(sum(v.coords[c] * row[i] for c, row in transform.items()) // det
-                  for i in range(self.rank))
-        return x if self.embed(x).coords == v.coords else None
+        at_pivots = [v.coords[c] for c in pivots]
+        x = tuple(sum(map(operator.mul, at_pivots, col)) // det for col in solve)
+        embedded = tuple(sum(map(operator.mul, x, col)) for col in columns)
+        return x if embedded == v.coords else None
 
     def contains(self, v: LatticeVector) -> bool:
         return self.coordinates(v) is not None

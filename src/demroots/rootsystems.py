@@ -5,9 +5,12 @@ Simple roots live in the character lattice X(T) of a connected reductive group
 of simple roots); simple coroots are integral functionals on X(T). Positive
 roots are generated by the root-string closure: beta + alpha_i is a root iff
 the string length q = p - <beta, alpha_i^vee> is positive, where p counts how
-far the string extends backwards. The Cartan matrix is checked to be of finite
-type first (its Dynkin graph is a forest and its leading principal minors are
-positive), so the closure always terminates and no cap on its size is needed.
+far the string extends backwards. The closure runs on Cartan integers (a step
+up by alpha_i adds column i of the Cartan matrix) and keeps each root's
+raising mask, the set of i with beta + alpha_i a root. The Cartan matrix is
+checked to be of finite type first (its Dynkin graph is a forest and its
+leading principal minors are positive), so the closure always terminates and
+no cap on its size is needed.
 
 The standard constructors realize each Cartan type in fundamental-weight
 coordinates: coroots are standard basis functionals and simple roots are the
@@ -108,14 +111,11 @@ class RootSystem:
     simple_coroots: tuple
     positive_roots: tuple = field(compare=False)
     coefficients: tuple = field(compare=False, repr=False)
+    _raising: tuple = field(compare=False, repr=False)  # bit i: beta + alpha_i is a root
 
     @property
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
-
-    def cartan_matrix(self):
-        return tuple(tuple(pairing(cv, a) for a in self.simple_roots)
-                     for cv in self.simple_coroots)
 
     def coefficients_of(self, root: LatticeVector) -> tuple:
         for beta, coeff in zip(self.positive_roots, self.coefficients):
@@ -161,44 +161,40 @@ def root_system(simple_roots: Sequence[LatticeVector],
     if not _finite_type(A):
         raise ValueError("Cartan matrix is not of finite type")
 
-    # Positive roots by height, with coefficient vectors over the simple roots.
-    known = {}
-    order = []
-    for i, alpha in enumerate(roots):
-        coeff = tuple(1 if j == i else 0 for j in range(n))
-        known[coeff] = alpha
-        order.append(coeff)
-    frontier = list(order)
-    while frontier:
-        next_frontier = []
-        for coeff in frontier:
-            beta = known[coeff]
-            for i in range(n):
-                p = 0
-                probe = list(coeff)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in known:
-                        break
-                    p += 1
-                q = p - pairing(coroots[i], beta)
-                if q >= 1:
-                    up = list(coeff)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in known:
-                        known[up] = beta + roots[i]
-                        order.append(up)
-                        next_frontier.append(up)
-        frontier = next_frontier
+    # Positive roots by height, breadth first with order as the queue. Each
+    # coefficient tuple carries its root and its Cartan integers
+    # <beta, alpha_k^vee>, and gets its raising mask.
+    columns = tuple(zip(*A))
+    known = {tuple(int(j == i) for j in range(n)): (alpha, columns[i])
+             for i, alpha in enumerate(roots)}
+    order, masks = list(known), {}
+    for coeff in order:
+        beta, cartan = known[coeff]
+        mask = 0
+        for i in range(n):
+            p, down = 0, coeff
+            while down[i]:
+                down = down[:i] + (down[i] - 1,) + down[i + 1:]
+                if down not in known:
+                    break
+                p += 1
+            if p > cartan[i]:  # the string length q = p - <beta, alpha_i^vee> is positive
+                mask |= 1 << i
+                up = coeff[:i] + (coeff[i] + 1,) + coeff[i + 1:]
+                if up not in known:
+                    known[up] = (beta + roots[i],
+                                 tuple(a + b for a, b in zip(cartan, columns[i])))
+                    order.append(up)
+        masks[coeff] = mask
 
     order.sort(key=lambda c: (sum(c), c))
     return RootSystem(
         ambient_rank=ambient_rank,
         simple_roots=roots,
         simple_coroots=coroots,
-        positive_roots=tuple(known[c] for c in order),
+        positive_roots=tuple(known[c][0] for c in order),
         coefficients=tuple(order),
+        _raising=tuple(masks[c] for c in order),
     )
 
 
@@ -234,30 +230,27 @@ def torus_root_system(ambient_rank: int) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
-def _check_levi(rs: RootSystem, levi) -> frozenset:
+def _outside_levi(rs: RootSystem, levi) -> list:
+    """The simple-root indices outside a Levi subset, once its indices are checked."""
     levi = frozenset(levi)
     bad = [i for i in levi if not (0 <= i < rs.semisimple_rank)]
     if bad:
         raise ValueError(f"invalid simple-root indices in Levi subset: {sorted(bad)}")
-    return levi
-
-
-def _in_levi(coeff, levi) -> bool:
-    return all(c == 0 or i in levi for i, c in enumerate(coeff))
+    return [i for i in range(rs.semisimple_rank) if i not in levi]
 
 
 def levi_positive_roots(rs: RootSystem, levi) -> tuple:
     """Positive roots supported on the chosen simple roots."""
-    levi = _check_levi(rs, levi)
+    rest = _outside_levi(rs, levi)
     return tuple(beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
-                 if _in_levi(coeff, levi))
+                 if not any(coeff[i] for i in rest))
 
 
 def nilradical_roots(rs: RootSystem, levi) -> tuple:
     """Positive roots using at least one simple root outside the Levi subset."""
-    levi = _check_levi(rs, levi)
+    rest = _outside_levi(rs, levi)
     return tuple(beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
-                 if not _in_levi(coeff, levi))
+                 if any(coeff[i] for i in rest))
 
 
 def nilradical_highest_weights(rs: RootSystem, levi) -> tuple:
@@ -266,11 +259,11 @@ def nilradical_highest_weights(rs: RootSystem, levi) -> tuple:
     A nilradical root alpha is a highest weight iff alpha + alpha_i is not a
     root for any simple root alpha_i of the Levi: the raising operators of the
     Levi are generated by those of its simple roots (Humphreys, Introduction
-    to Lie Algebras, 20-21). The result is sorted by coordinates.
+    to Lie Algebras, 20-21). That is the root's raising mask read on the
+    Levi's bits. The result is sorted by coordinates.
     """
-    levi = _check_levi(rs, levi)
-    positive = set(rs.coefficients)
-    out = [beta for beta, coeff in zip(rs.positive_roots, rs.coefficients)
-           if not _in_levi(coeff, levi) and not any(
-               coeff[:i] + (coeff[i] + 1,) + coeff[i + 1:] in positive for i in levi)]
+    rest = _outside_levi(rs, levi)
+    inside = (1 << rs.semisimple_rank) - 1 - sum(1 << i for i in rest)
+    out = [beta for beta, coeff, mask in zip(rs.positive_roots, rs.coefficients, rs._raising)
+           if not mask & inside and any(coeff[i] for i in rest)]
     return tuple(sorted(out, key=lambda b: b.coords))

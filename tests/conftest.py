@@ -57,11 +57,30 @@ def _solve_exact(cols, target):
     return x
 
 
+def rational_rank(rows):
+    """Rank over the rationals, by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 def in_cone_oracle(generators, point) -> bool:
     """Is the point a nonnegative rational combination of the generators?
 
     Caratheodory: it is iff some linearly independent subset yields it with
-    nonnegative coefficients. The subset loop keeps the solve unambiguous.
+    nonnegative coefficients, and such a subset extends by generators to a
+    basis of their span. So only subsets of the generators' rank are solved;
+    any nonnegative solution that passes the residual check is a certificate.
     """
     gens = [tuple(g) for g in generators]
     pt = tuple(point)
@@ -70,16 +89,16 @@ def in_cone_oracle(generators, point) -> bool:
     if not gens:
         return False
     n = len(pt)
-    for size in range(1, min(len(gens), n) + 1):
-        for subset in combinations(gens, size):
-            x = _solve_exact(list(subset), pt)
-            if x is None:
-                continue
-            if all(v >= 0 for v in x):
-                resid = [sum(x[j] * subset[j][i] for j in range(size)) - pt[i]
-                         for i in range(n)]
-                if all(v == 0 for v in resid):
-                    return True
+    size = rational_rank(gens)
+    for subset in combinations(gens, size):
+        x = _solve_exact(list(subset), pt)
+        if x is None:
+            continue
+        if all(v >= 0 for v in x):
+            resid = [sum(x[j] * subset[j][i] for j in range(size)) - pt[i]
+                     for i in range(n)]
+            if all(v == 0 for v in resid):
+                return True
     return False
 
 

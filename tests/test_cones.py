@@ -9,7 +9,7 @@ from demroots.cones import (Cone, ContainsLine, WeightMonoid, _dual_v_representa
 from demroots import cones, lattice
 from demroots.lattice import DualVector, LatticeVector, RankMismatch, Sublattice, primitive_tuple
 
-from conftest import in_cone_oracle, random_pointed_cone, verify_hilbert_basis
+from conftest import in_cone_oracle, random_pointed_cone, rational_rank, verify_hilbert_basis
 
 
 def dv(*c):
@@ -137,23 +137,6 @@ class TestDoubleDescriptionAgainstOracle:
                 assert in_cone_oracle(rays, g), (gens, g)
 
 
-def _rank(rows):
-    """Rank over the rationals, by plain Gaussian elimination."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if i is None:
-            continue
-        rows[rank], rows[i] = rows[i], rows[rank]
-        pivot = rows[rank]
-        for r in rows[rank + 1:]:
-            f = r[c] / pivot[c]
-            r[:] = [a - f * b for a, b in zip(r, pivot)]
-        rank += 1
-    return rank
-
-
 def _det(rows):
     """Determinant over the rationals, by plain Gaussian elimination."""
     rows = [[Fraction(x) for x in r] for r in rows]
@@ -173,10 +156,9 @@ def _det(rows):
 
 
 def _random_halves(rnd):
-    """A raw halfspace set of rank 1-5, few of rank 4-5 where the oracle is
-    slow, with one extra half: an opposite, a sum of two halves, a multiple,
-    or zero."""
-    rank = rnd.choices(range(1, 6), weights=(5, 6, 6, 2, 1))[0]
+    """A raw halfspace set of rank 1-5, each rank equally likely, with one
+    extra half: an opposite, a sum of two halves, a multiple, or zero."""
+    rank = rnd.randint(1, 5)
     entry, most = (3, 5) if rank <= 3 else (2, 4)
     halves = [tuple(rnd.randint(-entry, entry) for _ in range(rank))
               for _ in range(rnd.randint(0, most))]
@@ -228,10 +210,10 @@ class TestDoubleDescriptionOnRawHalfspaces:
                 inside = all(sum(f * x for f, x in zip(h, p)) >= 0 for h in halves)
                 assert inside == in_cone_oracle(rays + units, p), (halves, p)
 
-            dim = _rank(halves)
+            dim = rational_rank(halves)
             for i, r in enumerate(rays):
                 active = [h for h in halves if sum(f * x for f, x in zip(h, r)) == 0]
-                assert _rank(active) == dim - 1, (halves, r)
+                assert rational_rank(active) == dim - 1, (halves, r)
                 assert not in_cone_oracle(rays[:i] + rays[i + 1:] + units, r), (halves, r)
         assert min(kinds.values()) >= 100, kinds
 

@@ -11,6 +11,8 @@ from demroots.lattice import (DualVector, LatticeVector, RankMismatch, Sublattic
                               unimodular_inverse)
 from demroots.toric import monomial
 
+from conftest import rational_rank
+
 
 def matmul(A, B):
     return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
@@ -33,21 +35,6 @@ def det(M):
             f = rows[i][c] / rows[c][c]
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return d
-
-
-def fraction_rank(M):
-    rows = [[Fraction(v) for v in r] for r in M]
-    rank = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / rows[rank][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def fraction_solve(B, v):
@@ -240,7 +227,7 @@ class TestSmithNormalForm:
         # Append zero rows and combinations of existing rows.
         for i, j, a, b in extra:
             A = A + [[a * x + b * y for x, y in zip(A[i % len(A)], A[j % len(A)])]]
-        assert matrix_rank(A) == fraction_rank(A)
+        assert matrix_rank(A) == rational_rank(A)
 
 
 class TestKernelAndSolve:
@@ -373,7 +360,7 @@ class TestSublattice:
                 B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
                 if rank > 1 and rng.random() < 0.2:
                     B[-1] = [a - b for a, b in zip(B[0], B[1])]
-            if fraction_rank(B) < rank:
+            if rational_rank(B) < rank:
                 with pytest.raises(ValueError, match="not linearly independent"):
                     Sublattice(n, B)
                 seen["dependent"] += 1

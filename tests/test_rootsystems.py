@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from demroots.datumio import parse_datum
-from demroots.lattice import DualVector, LatticeVector
+from demroots.lattice import DualVector, LatticeVector, pairing
 from demroots.rootsystems import (RootSystem, _finite_type, cartan_matrix_of_type,
                                   levi_positive_roots, nilradical_highest_weights,
                                   nilradical_roots, root_system,
@@ -350,3 +350,95 @@ def test_simple_root_rule_matches_all_levi_roots():
                 == _highest_weights_by_all_levi_roots(rs, levi), (letter, rank, sorted(levi))
             cases += 1
     assert cases == 462
+
+
+def _closure_by_ambient_pairing(roots, coroots) -> tuple:
+    """The reference closure: q = p - <beta, alpha_i^vee> from one pairing of
+    ambient coordinates per (root, i). Returns the positive roots and their
+    coefficient tuples, ordered by height and then by coefficients."""
+    n = len(roots)
+    known = {tuple(int(j == i) for j in range(n)): alpha for i, alpha in enumerate(roots)}
+    frontier = list(known)
+    while frontier:
+        next_frontier = []
+        for coeff in frontier:
+            beta = known[coeff]
+            for i in range(n):
+                p, probe = 0, list(coeff)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in known:
+                        break
+                    p += 1
+                if p - pairing(coroots[i], beta) >= 1:
+                    up = tuple(c + (j == i) for j, c in enumerate(coeff))
+                    if up not in known:
+                        known[up] = beta + roots[i]
+                        next_frontier.append(up)
+        frontier = next_frontier
+    order = sorted(known, key=lambda c: (sum(c), c))
+    return tuple(known[c] for c in order), tuple(order)
+
+
+def _unimodular_pair(rng, m):
+    """A random unimodular U and its inverse, as products of elementary matrices."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [row[:] for row in U]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]       # U <- E U
+        for row in V:                                       # V <- V E^-1
+            row[j] -= c * row[i]
+    return U, V
+
+
+def _changed_basis(letter, rank, rng, pad=2):
+    """A simple type with simple roots r * U and coroots c * U^-T, in ambient
+    rank rank + pad: the same Cartan matrix in non-fundamental coordinates."""
+    A = cartan_matrix_of_type(letter, rank)
+    m = rank + pad
+    U, V = _unimodular_pair(rng, m)
+    roots = [xt(*(sum(A[k][j] * U[k][c] for k in range(rank)) for c in range(m)))
+             for j in range(rank)]
+    coroots = [DualVector(tuple(V[c][j] for c in range(m)), "X(T)") for j in range(rank)]
+    return roots, coroots, m
+
+
+def _assert_matches_reference(rs):
+    positive, coefficients = _closure_by_ambient_pairing(rs.simple_roots, rs.simple_coroots)
+    assert rs.positive_roots == positive
+    assert rs.coefficients == coefficients
+    present = set(rs.coefficients)
+    for coeff, mask in zip(rs.coefficients, rs._raising):
+        for i in range(rs.semisimple_rank):
+            up = tuple(c + (j == i) for j, c in enumerate(coeff))
+            assert bool(mask >> i & 1) == (up in present), (coeff, i)
+        assert mask >> rs.semisimple_rank == 0
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("letter,rank", CARTAN_TYPES_UP_TO_RANK_8
+                             + [("A", 25), ("B", 18), ("D", 18)])
+    def test_standard_types(self, letter, rank):
+        _assert_matches_reference(standard_root_system(letter, rank))
+
+    @pytest.mark.parametrize("letter,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
+                                             ("E", 6), ("F", 4), ("G", 2)])
+    def test_non_fundamental_coordinates(self, letter, rank):
+        roots, coroots, m = _changed_basis(letter, rank, random.Random(f"{letter}{rank}"))
+        standard = standard_root_system(letter, rank, ambient_rank=m)
+        assert roots != list(standard.simple_roots)
+        assert coroots != list(standard.simple_coroots)
+        rs = root_system(roots, coroots, m)
+        assert [[pairing(cv, a) for a in roots] for cv in coroots] \
+            == [list(row) for row in cartan_matrix_of_type(letter, rank)]
+        _assert_matches_reference(rs)
+
+    def test_masks_stay_out_of_equality_and_repr(self):
+        a = standard_root_system("B", 3)
+        b = root_system(list(a.simple_roots), list(a.simple_coroots), 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == (f"RootSystem(ambient_rank=3, simple_roots={a.simple_roots!r}, "
+                           f"simple_coroots={a.simple_coroots!r}, "
+                           f"positive_roots={a.positive_roots!r})")
