@@ -1,99 +1,44 @@
-"""Exact lattice cones, Demazure roots and divisor-moving subgroups."""
+"""Exact lattice cones, Demazure roots and divisor-moving subgroups.
 
-from .lattice import (
-    DualVector,
-    LatticeVector,
-    RankMismatch,
-    Sublattice,
-    pairing,
-    primitive,
-    smith_normal_form,
-)
-from .cones import (
-    Cone,
-    ContainsLine,
-    WeightMonoid,
-    build_cone,
-    dual_monoid,
-    on_nonnegative_ray,
-)
-from .toric import (
-    AlgebraElement,
-    DemazureRoot,
-    FlowPolynomial,
-    apply_derivation,
-    check_supported,
-    demazure_ray,
-    demazure_root,
-    enumerate_demazure_roots,
-    exponentiate,
-    monomial,
-    nilpotency_index,
-)
-from .rootsystems import (
-    RootSystem,
-    cartan_matrix_of_type,
-    nilradical_highest_weights,
-    nilradical_roots,
-    root_system,
-    standard_root_system,
-    torus_root_system,
-)
-from .spherical import (
-    CheckResult,
-    ColorSubset,
-    DatumError,
-    Divisor,
-    SphericalDatum,
-    ValidationReport,
-    full_cone,
-    levi_subset,
-    slice_cone,
-    slice_monoid,
-    validate,
-    weight_monoid,
-)
-from .classifier import (
-    Classification,
-    LndDescriptor,
-    classify,
-    congruent_summand_weights,
-    lnd_basis,
-    realizable_summand_weights,
-)
-from .search import (
-    MoveReport,
-    MoveWitness,
-    RayCheck,
-    check_divisor_ray,
-    find_witness,
-    gstable_report,
-)
-from .datumio import (
-    DatumFormatError,
-    parse_datum,
-    read_datum,
-    serialize_datum,
-    write_datum,
-)
-from .catalog import CATALOG, example
+The exports load on first use (PEP 562): importing the package loads none of
+its modules, and each name below imports its home module when first asked for.
+"""
+
+from importlib import import_module
+
+_EXPORTS = {  # home module -> the names it exports
+    "lattice": "DualVector LatticeVector RankMismatch Sublattice pairing primitive "
+               "smith_normal_form",
+    "cones": "Cone ContainsLine WeightMonoid build_cone dual_monoid on_nonnegative_ray",
+    "toric": "AlgebraElement DemazureRoot FlowPolynomial apply_derivation check_supported "
+             "demazure_ray demazure_root enumerate_demazure_roots exponentiate monomial "
+             "nilpotency_index",
+    "rootsystems": "RootSystem cartan_matrix_of_type nilradical_highest_weights "
+                   "nilradical_roots root_system standard_root_system torus_root_system",
+    "spherical": "CheckResult ColorSubset DatumError Divisor SphericalDatum "
+                 "ValidationReport full_cone levi_subset slice_cone slice_monoid validate "
+                 "weight_monoid",
+    "classifier": "Classification LndDescriptor classify congruent_summand_weights "
+                  "lnd_basis realizable_summand_weights",
+    "search": "MoveReport MoveWitness RayCheck check_divisor_ray find_witness gstable_report",
+    "datumio": "DatumFormatError parse_datum read_datum serialize_datum write_datum",
+    "catalog": "CATALOG example",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement", "CATALOG", "CheckResult", "Classification", "ColorSubset",
-    "Cone", "ContainsLine", "DatumError", "DatumFormatError", "DemazureRoot",
-    "Divisor", "DualVector", "FlowPolynomial", "LatticeVector", "LndDescriptor",
-    "MoveReport", "MoveWitness", "RankMismatch", "RayCheck", "RootSystem",
-    "SphericalDatum", "Sublattice", "ValidationReport", "WeightMonoid",
-    "apply_derivation", "build_cone", "cartan_matrix_of_type", "check_divisor_ray",
-    "check_supported", "classify", "congruent_summand_weights", "demazure_ray",
-    "demazure_root", "dual_monoid", "enumerate_demazure_roots", "example",
-    "exponentiate", "find_witness", "full_cone", "gstable_report",
-    "levi_subset", "lnd_basis", "monomial", "nilpotency_index",
-    "nilradical_highest_weights", "nilradical_roots", "on_nonnegative_ray",
-    "pairing", "parse_datum", "primitive", "read_datum",
-    "realizable_summand_weights", "root_system", "serialize_datum", "slice_cone",
-    "slice_monoid", "smith_normal_form", "standard_root_system",
-    "torus_root_system", "validate", "weight_monoid", "write_datum",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule; importing it binds it on the package
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,26 +3,15 @@
 Every subcommand reads exact integer data, computes with exact arithmetic and
 prints a deterministic report, as text or as JSON. Commands that take a record
 file validate it first and refuse to compute on a broken record (exit code 1);
-argparse reports usage problems with exit code 2.
+argparse reports usage problems with exit code 2. Each subcommand imports
+only the modules it uses, so a cold run loads no more of the library than it
+needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
-
-from .classifier import classify, congruent_summand_weights, lnd_basis, \
-    realizable_summand_weights
-from .cones import build_cone
-from .datumio import read_datum
-from .lattice import DualVector, LatticeVector
-from .rootsystems import nilradical_highest_weights
-from .search import find_witness, gstable_report
-from .spherical import ColorSubset, levi_subset, slice_monoid, validate, weight_monoid
-from .toric import AlgebraElement, check_supported, demazure_root, \
-    enumerate_demazure_roots, exponentiate, monomial
 
 
 def main(argv=None) -> int:
@@ -122,6 +111,7 @@ def _format_flag(p):
 
 def _emit(args, report: dict, text_lines) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(report, indent=2))
     else:
         for line in text_lines:
@@ -140,6 +130,8 @@ def _csv_ints(text: str, what: str) -> tuple:
 
 
 def _parse_cone(text: str):
+    from .cones import build_cone
+    from .lattice import DualVector
     gens = [_csv_ints(part, "--cone generator") for part in text.split(";") if part]
     if not gens:
         raise ValueError("--cone needs at least one generator")
@@ -148,6 +140,8 @@ def _parse_cone(text: str):
 
 
 def _load_valid(path):
+    from .datumio import read_datum
+    from .spherical import validate
     datum = read_datum(path)
     report = validate(datum)
     if not report.ok:
@@ -158,6 +152,7 @@ def _load_valid(path):
 
 
 def _weight(datum, text: str) -> LatticeVector:
+    from .lattice import LatticeVector
     coords = _csv_ints(text, "--weight")
     ambient = datum.root_system.ambient_rank
     if len(coords) != ambient:
@@ -166,10 +161,13 @@ def _weight(datum, text: str) -> LatticeVector:
 
 
 def _subset(args) -> ColorSubset:
+    from .spherical import ColorSubset
     return ColorSubset(args.exclude_color)
 
 
 def _cmd_validate(args) -> int:
+    from .datumio import read_datum
+    from .spherical import validate
     datum = read_datum(args.file)
     report = validate(datum)
     doc = {"ok": report.ok,
@@ -183,6 +181,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_monoid(args) -> int:
+    from .spherical import slice_monoid, weight_monoid
     datum = _load_valid(args.file)
     if args.chart or args.exclude_color:
         monoid = slice_monoid(datum, _subset(args))
@@ -199,6 +198,7 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    from .toric import enumerate_demazure_roots
     cone = _parse_cone(args.cone)
     roots = enumerate_demazure_roots(cone, args.bound)
     by_ray = {}
@@ -218,10 +218,16 @@ def _cmd_roots(args) -> int:
 
 
 def _parse_term(text: str, rank: int):
+    from fractions import Fraction
+    from .lattice import LatticeVector
+    from .toric import monomial
     if ":" in text:
         coeff_text, weight_text = text.split(":", 1)
         try:
             coeff = Fraction(coeff_text)
+        except ValueError:
+            raise ValueError("--term coefficient must be an integer or a fraction "
+                             f"like 3/2, got {coeff_text!r}") from None
         except ZeroDivisionError:
             raise ValueError(f"--term coefficient {coeff_text} divides by zero") from None
     else:
@@ -233,6 +239,8 @@ def _parse_term(text: str, rank: int):
 
 
 def _cmd_exp(args) -> int:
+    from .lattice import LatticeVector
+    from .toric import AlgebraElement, check_supported, demazure_root, exponentiate
     cone = _parse_cone(args.cone)
     mu = LatticeVector(_csv_ints(args.root, "--root"), lattice="M")
     root = demazure_root(cone, mu)
@@ -288,6 +296,7 @@ def _descriptor_line(d) -> str:
 
 
 def _cmd_lnd_dim(args) -> int:
+    from .classifier import lnd_basis
     datum = _load_valid(args.file)
     mu = _weight(datum, args.weight)
     basis = lnd_basis(datum, _subset(args), mu)
@@ -300,6 +309,7 @@ def _cmd_lnd_dim(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classifier import classify, lnd_basis
     datum = _load_valid(args.file)
     subset = _subset(args)
     mu = _weight(datum, args.weight)
@@ -330,6 +340,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from .rootsystems import nilradical_highest_weights
+    from .spherical import levi_subset
     datum = _load_valid(args.file)
     levi = levi_subset(datum, _subset(args))
     omega = nilradical_highest_weights(datum.root_system, levi)
@@ -340,6 +352,7 @@ def _cmd_omega(args) -> int:
              "nilradical summand highest weights:"]
     lines += [f"  {_vec(a.coords)}" for a in omega] or ["  none"]
     if args.weight:
+        from .classifier import congruent_summand_weights, realizable_summand_weights
         mu = _weight(datum, args.weight)
         cong = congruent_summand_weights(datum, mu)
         real = realizable_summand_weights(datum, _subset(args), mu)
@@ -384,6 +397,7 @@ def _move_lines(r) -> list:
 
 
 def _cmd_move(args) -> int:
+    from .search import find_witness
     datum = _load_valid(args.file)
     datum.divisor(args.divisor)
     report = find_witness(datum, args.divisor, args.search_bound)
@@ -392,6 +406,7 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .search import gstable_report
     datum = _load_valid(args.file)
     rows = gstable_report(datum, args.search_bound)
     doc = {"divisors": [_move_doc(r) for r in rows]}

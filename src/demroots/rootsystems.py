@@ -81,9 +81,9 @@ def cartan_matrix_of_type(letter: str, rank: int):
     return tuple(tuple(row) for row in A)
 
 
-def _finite_type(A) -> bool:
+def _finite_type(A, pivots=None) -> bool:
     """Whether a GCM with the sign and zero pattern of a Cartan matrix is of
-    finite type.
+    finite type; `pivots` are those of `_bareiss(A)` if already known.
 
     Finite-type Dynkin diagrams are forests (Kac, Infinite dimensional Lie
     algebras, ch. 4). On a forest A = DB with D positive diagonal and B
@@ -92,14 +92,24 @@ def _finite_type(A) -> bool:
     the pivots of the fraction-free elimination when they sit on the diagonal.
     """
     n = len(A)
-    # The vectors e_i - e_j of a graph's edges are independent iff it has no cycle.
-    edges = [[(k == i) - (k == j) for k in range(n)]
-             for i in range(n) for j in range(i) if A[i][j]]
-    if matrix_rank(edges) != len(edges):
-        return False
-    _, pivots = _bareiss(A)
+    component = list(range(n))  # union-find: an edge inside a component closes a cycle
+    for i in range(n):
+        for j in range(i):
+            if A[i][j]:
+                a, b = _find(component, i), _find(component, j)
+                if a == b:
+                    return False
+                component[a] = b
+    if pivots is None:
+        _, pivots = _bareiss(A)
     return [(r, c) for r, c, _ in pivots] == [(k, k) for k in range(n)] \
         and all(p > 0 for _, _, p in pivots)
+
+
+def _find(component, i):
+    while component[i] != i:
+        i = component[i]
+    return i
 
 
 @dataclass(frozen=True)
@@ -143,11 +153,13 @@ def root_system(simple_roots: Sequence[LatticeVector],
     for v in coroots:
         if v.rank != ambient_rank or v.lattice != "X(T)":
             raise ValueError("simple coroots must be X(T) functionals of the ambient rank")
-    if matrix_rank([v.coords for v in roots]) != n:
-        raise ValueError("simple roots are linearly dependent")
-    if matrix_rank([v.coords for v in coroots]) != n:
-        raise ValueError("simple coroots are linearly dependent")
     A = [[pairing(cv, a) for a in roots] for cv in coroots]
+    _, pivots = _bareiss(A)
+    if len(pivots) < n:  # A = C R^T, so a nonsingular A proves both independent
+        if matrix_rank([v.coords for v in roots]) != n:
+            raise ValueError("simple roots are linearly dependent")
+        if matrix_rank([v.coords for v in coroots]) != n:
+            raise ValueError("simple coroots are linearly dependent")
     for i in range(n):
         if A[i][i] != 2:
             raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {A[i][i]}, expected 2")
@@ -158,7 +170,7 @@ def root_system(simple_roots: Sequence[LatticeVector],
                 raise ValueError(f"positive off-diagonal Cartan entry at ({i},{j})")
             if (A[i][j] == 0) != (A[j][i] == 0):
                 raise ValueError(f"asymmetric zero pattern at ({i},{j})")
-    if not _finite_type(A):
+    if not _finite_type(A, pivots):
         raise ValueError("Cartan matrix is not of finite type")
 
     # Positive roots by height, breadth first with order as the queue. Each

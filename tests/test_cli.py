@@ -96,6 +96,12 @@ class TestNoTraceback:
                        "--term", "1/0:1,1", expect=1)
         assert_one_error(proc, "divides by zero")
 
+    def test_malformed_coefficient(self):
+        proc = run_cli("exp", "--cone", "1,0;0,1", "--root=-1,0",
+                       "--term", "x:2,1", expect=1)
+        assert_one_error(proc, "--term coefficient must be an integer or a fraction "
+                               "like 3/2, got 'x'")
+
     def test_deeply_nested_json(self, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text("[" * 100_000)

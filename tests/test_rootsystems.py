@@ -14,7 +14,7 @@ from demroots.rootsystems import (RootSystem, _finite_type, cartan_matrix_of_typ
                                   standard_root_system, torus_root_system)
 from demroots.spherical import validate
 
-from conftest import run_cli
+from conftest import rational_rank, run_cli
 
 
 def xt(*c):
@@ -133,6 +133,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             root_system([LatticeVector((2,), lattice="M")],
                         [DualVector((1,), lattice="X(T)")], 1)
+
+    def test_rank_messages_come_first(self):
+        # The ranks run only when the Cartan matrix is singular; the messages
+        # and their order must still be those of checking both ranks first.
+        rnd, seen = random.Random(11), set()
+        for _ in range(2000):
+            n = rnd.randint(1, 4)
+            ambient = n + rnd.randint(0, 2)
+            roots = [[rnd.randint(-2, 2) for _ in range(ambient)] for _ in range(n)]
+            coroots = [[rnd.randint(-2, 2) for _ in range(ambient)] for _ in range(n)]
+            if n > 1 and rnd.random() < 0.3:
+                roots[1] = [2 * c for c in roots[0]]
+            if n > 1 and rnd.random() < 0.3:
+                coroots[1] = list(coroots[0])
+            if rational_rank(roots) < n:
+                expected = "simple roots are linearly dependent"
+            elif rational_rank(coroots) < n:
+                expected = "simple coroots are linearly dependent"
+            else:
+                expected = None
+            try:
+                root_system([xt(*v) for v in roots],
+                            [DualVector(v, lattice="X(T)") for v in coroots], ambient)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            if expected:
+                assert message == expected, (roots, coroots)
+            else:
+                assert message is None or "linearly dependent" not in message
+            seen.add(expected)
+        assert len(seen) == 3
 
 
 def _det(rows) -> Fraction:
