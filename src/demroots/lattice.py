@@ -115,10 +115,11 @@ def lattice_points(rank: int, bound: int, ge=(), eq=()):
     for (c, d) in eq and sup-norm at most bound, as int tuples in (sup-norm,
     1-norm, lex) order.
 
-    Shells of equal sup-norm come out in turn and only each shell's surface is
-    walked, so a caller that stops at its first point pays for the shells up
-    to it, and a search without a hit costs one box. Each coordinate's range
-    is cut to the interval that keeps every row satisfiable.
+    Shells of equal sup-norm come out in turn, one walk of the box [-s, s]^rank
+    per shell s that keeps only the points with some coordinate at +-s, so a
+    caller that stops at its first point pays for the shells up to it, and a
+    search without a hit costs about one box. Each coordinate's range is cut
+    to the interval that keeps every row satisfiable.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -126,11 +127,7 @@ def lattice_points(rank: int, bound: int, ge=(), eq=()):
     rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
     for s in range(bound + 1):
         hits = []
-        # Shell s is the disjoint union over `face` of the points whose first
-        # coordinate of absolute value s is x[face]; s = 0 is the origin alone.
-        for face in range(rank) if s else (None,):
-            widths = [0] * rank if face is None else [s - 1] * face + [s] * (rank - face)
-            _walk(rows, [-w for w in widths], widths, face, hits)
+        _walk(rows, [-s] * rank, [s] * rank, hits, surface=s > 0)
         hits.sort(key=lambda x: (sum(map(abs, x)), x))
         yield from hits
 
@@ -139,13 +136,14 @@ def box_points(lo: Sequence[int], hi: Sequence[int], ge=()) -> list:
     """Points x of Z^n (n >= 1) with lo <= x <= hi and a.x >= b for (a, b) in
     ge, as int tuples in lex order; ranges are cut as in lattice_points."""
     hits = []
-    _walk([(tuple(a), b) for a, b in ge], list(lo), list(hi), None, hits)
+    _walk([(tuple(a), b) for a, b in ge], list(lo), list(hi), hits)
     return hits
 
 
-def _walk(rows, lo, hi, face, hits):
+def _walk(rows, lo, hi, hits, surface=False):
     """Append to hits, in lex order, each point of the box lo <= x <= hi that
-    satisfies every row a.x >= b, with x[face] restricted to its two ends."""
+    satisfies every row a.x >= b; with surface, only the points of the box's
+    surface, where some coordinate is at one of its ends (lo < hi assumed)."""
     if any(b > 0 for a, b in rows if not any(a)):
         return
     rank = len(lo)
@@ -159,27 +157,29 @@ def _walk(rows, lo, hi, face, hits):
     need = [b for _, b in rows]  # what each row still needs from the free coordinates
     x = [0] * rank
 
-    def walk(k):
+    def walk(k, inside):
+        # inside: with surface, x[:k] has no end value, so x[k:] must have one
         low, high = lo[k], hi[k]
         for r, a, rest in active[k]:  # a * x[k] >= need[r] - rest
             if a > 0:
                 low = max(low, -((rest - need[r]) // a))
             else:
                 high = min(high, (need[r] - rest) // a)
-        values = range(low, high + 1) if k != face else \
-            [v for v in (lo[k], hi[k]) if low <= v <= high]
-        for v in values:
+        if k == rank - 1:
+            for v in (lo[k], hi[k]) if inside else range(low, high + 1):
+                if low <= v <= high:
+                    x[k] = v
+                    hits.append(tuple(x))
+            return
+        for v in range(low, high + 1):
             x[k] = v
-            if k == rank - 1:
-                hits.append(tuple(x))
-                continue
             for r, a, _ in active[k]:
                 need[r] -= a * v
-            walk(k + 1)
+            walk(k + 1, inside and lo[k] < v < hi[k])
             for r, a, _ in active[k]:
                 need[r] += a * v
 
-    walk(0)
+    walk(0, surface)
 
 
 def content(coords: Iterable[int]) -> int:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cones import Cone, ContainsLine, WeightMonoid, build_cone, dual_monoid
-from .lattice import DualVector, LatticeVector, Sublattice, invariant_factors
+from .lattice import DualVector, Sublattice
 from .rootsystems import RootSystem
 
 COLOR = "color"
@@ -166,45 +166,27 @@ def validate(datum: SphericalDatum) -> ValidationReport:
     checks = []
 
     try:
-        cone = full_cone(datum)
+        full_cone(datum)
     except ContainsLine as exc:
-        cone = None
         checks.append(CheckResult(
             "strict-convexity", False,
             f"valuation vectors span the line through {exc.line.coords}"))
     else:
+        # A strictly convex cone has a full-dimensional dual, whose lattice points
+        # generate M as a group (Cox-Little-Schenck, Toric Varieties, 1.2).
+        checks += [CheckResult("strict-convexity", True,
+                               "the valuation vectors span a strictly convex cone"),
+                   CheckResult("weight-monoid-spans-M", True,
+                               "the weight monoid generates M as a group")]
+
+    lone = next(((i, d.name) for d in datum.colors if d.color_type == "T"
+                 for i in sorted(d.moved_by)
+                 if not any(i in c.moved_by for c in datum.colors if c.name != d.name)),
+                None)
+    if lone:
         checks.append(CheckResult(
-            "strict-convexity", True,
-            "the valuation vectors span a strictly convex cone"))
-
-    if cone is not None:
-        basis = weight_monoid(datum).hilbert_basis
-        rows = [v.coords for v in basis]
-        factors = invariant_factors(rows) if rows else ()
-        spans = len(factors) == datum.rank and all(f == 1 for f in factors)
-        if spans:
-            checks.append(CheckResult(
-                "weight-monoid-spans-M", True,
-                "the weight monoid generates M as a group"))
-        else:
-            checks.append(CheckResult(
-                "weight-monoid-spans-M", False,
-                f"Hilbert basis invariant factors {factors} do not span M"))
-
-    for d in datum.colors:
-        if d.color_type != "T":
-            continue
-        for i in sorted(d.moved_by):
-            others = [c.name for c in datum.colors
-                      if c.name != d.name and i in c.moved_by]
-            if not others:
-                checks.append(CheckResult(
-                    "type-T-moving-rule", False,
-                    f"simple root {i} moves only the type-T color {d.name!r}"))
-                break
-        else:
-            continue
-        break
+            "type-T-moving-rule", False,
+            f"simple root {lone[0]} moves only the type-T color {lone[1]!r}"))
     else:
         checks.append(CheckResult(
             "type-T-moving-rule", True,
@@ -250,9 +232,12 @@ def levi_subset(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> f
 
 @lru_cache(maxsize=_CACHED_DATA)
 def slice_cone(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> Cone:
-    """Cone of valuation vectors of the divisors remaining on the open chart."""
-    kappas = [d.kappa for d in subset.complement(datum)]
-    return build_cone(kappas, rank=datum.rank, lattice="M")
+    """Cone of valuation vectors of the divisors remaining on the open chart;
+    the full cone itself when the chart keeps every divisor."""
+    kept = subset.complement(datum)
+    if len(kept) == len(datum.divisors):
+        return full_cone(datum)
+    return build_cone([d.kappa for d in kept], rank=datum.rank, lattice="M")
 
 
 @lru_cache(maxsize=_CACHED_DATA)

@@ -56,9 +56,19 @@ class DemazureRoot:
             raise ValueError(
                 f"ray mismatch: root {self.mu.coords} belongs to ray {rho.coords}")
 
+    @classmethod
+    def _on_ray(cls, mu: LatticeVector, rho: DualVector, cone: Cone) -> "DemazureRoot":
+        """A root whose ray rho the caller has already found: no second scan."""
+        root = object.__new__(cls)
+        root.__dict__.update(mu=mu, rho=rho, cone=cone)
+        return root
+
 
 def demazure_root(cone: Cone, mu: LatticeVector) -> DemazureRoot:
-    return DemazureRoot(mu, demazure_ray(cone, mu), cone)
+    rho = demazure_ray(cone, mu)
+    if rho is None:
+        raise ValueError(f"{mu.coords} is not a Demazure root of the cone")
+    return DemazureRoot._on_ray(mu, rho, cone)
 
 
 def _root_rows(cone: Cone, rho: DualVector) -> list:
@@ -87,7 +97,7 @@ def enumerate_demazure_roots(cone: Cone, bound: int,
     lo, hi = [-bound] * cone.rank, [bound] * cone.rank
     roots = ((rho, LatticeVector(coords, cone.lattice)) for rho in cone.extremal_rays
              for coords in box_points(lo, hi, _root_rows(cone, rho)))
-    return tuple(DemazureRoot(mu, rho, cone) for rho, mu in roots
+    return tuple(DemazureRoot._on_ray(mu, rho, cone) for rho, mu in roots
                  if sublattice is None or sublattice.contains(mu))
 
 

@@ -130,6 +130,36 @@ class TestNoTraceback:
         assert_one_error(proc, "too large")
 
 
+class TestRecordOverTheCap:
+    """The rank-5 record above, whose weight monoid's Hilbert basis meets the
+    zonotope cap: every command but monoid accepts it."""
+
+    @staticmethod
+    def record(tmp_path):
+        kappas = [[int(i == j) for j in range(5)] for i in range(4)] + \
+            [[1, 1, 1, 1, -2], [0, 0, 0, 0, 1], [2, -1, 0, 3, 1], [5, 7, 0, 0, -9]]
+        doc = {"cartan": {"ambient_rank": 5, "simple_roots": [], "simple_coroots": []},
+               "lattice_M": {"basis_rows": [[int(i == j) for j in range(5)]
+                                            for i in range(5)]},
+               "divisors": [{"name": f"d{i}", "kind": "g-stable", "kappa": k}
+                            for i, k in enumerate(kappas)]}
+        p = tmp_path / "rank5.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_validate(self, tmp_path):
+        proc = run_cli("validate", self.record(tmp_path))
+        assert proc.stdout.endswith("record valid\n")
+        assert "check weight-monoid-spans-M: pass" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_report_gstable_finds_every_witness(self, tmp_path):
+        out = run_cli("report-gstable", self.record(tmp_path), "--format", "json").stdout
+        rows = json.loads(out)["divisors"]
+        assert [(r["divisor"], r["status"]) for r in rows] == \
+            [(f"d{i}", "witness") for i in range(8)]
+
+
 class TestMonoid:
     def test_full(self):
         out = run_cli("monoid", SL2C).stdout

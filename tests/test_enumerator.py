@@ -36,15 +36,33 @@ def minimal(points):
     return min(points, key=key, default=None)
 
 
+def _rows(rnd, rank, most, rhs):
+    return [(tuple(rnd.randint(-3, 3) for _ in range(rank)), rnd.randint(-rhs, rhs))
+            for _ in range(rnd.randint(0, most))]
+
+
+def _corner_rows(rank):
+    """Row sets for the edge cases: none, ones the origin fails (a zero row
+    among them), eq rows alone and beside ge rows."""
+    ones, e0 = (1,) * rank, (1,) + (0,) * (rank - 1)
+    zero = (0,) * rank
+    return [([], []), ([(ones, 1)], []), ([(e0, 1), (ones, 2)], []),
+            ([(zero, 1)], []), ([(zero, 0), (e0, -1)], []),
+            ([], [(ones, 0)]), ([], [(e0, 1)]), ([(e0, 0)], [(ones, 1)]),
+            ([], [(e0, 1), (ones, 1)])]
+
+
 def test_lattice_points_match_box_scan():
     rnd = random.Random(11)
-    for _ in range(400):
-        rank = rnd.randint(1, 4)
-        bound = rnd.randint(0, SCAN_BOUND[rank])
-        ge = [(tuple(rnd.randint(-3, 3) for _ in range(rank)), rnd.randint(-3, 3))
-              for _ in range(rnd.randint(0, 4))]
-        eq = [(tuple(rnd.randint(-3, 3) for _ in range(rank)), rnd.randint(-2, 2))
-              for _ in range(rnd.randint(0, 2))]
+    cases = []
+    for _ in range(500):
+        rank = rnd.randint(1, 5)
+        cases.append((rank, rnd.randint(0, SCAN_BOUND[rank]),
+                      _rows(rnd, rank, 4, 3), _rows(rnd, rank, 2, 2)))
+    cases += [(rank, bound, ge, eq) for rank in SCAN_BOUND
+              for bound in sorted({0, 1, SCAN_BOUND[rank]})
+              for ge, eq in _corner_rows(rank)]
+    for rank, bound, ge, eq in cases:
         want = sorted((x for x in box(rank, bound)
                        if all(dot(a, x) >= b for a, b in ge)
                        and all(dot(c, x) == d for c, d in eq)), key=key)
@@ -53,12 +71,18 @@ def test_lattice_points_match_box_scan():
 
 def test_box_points_match_box_scan():
     rnd = random.Random(12)
-    for _ in range(200):
-        rank = rnd.randint(1, 4)
+    cases = []
+    for _ in range(250):
+        rank = rnd.randint(1, 5)
         lo = [rnd.randint(-3, 1) for _ in range(rank)]
         hi = [a + rnd.randint(-1, SCAN_BOUND[rank]) for a in lo]
-        ge = [(tuple(rnd.randint(-3, 3) for _ in range(rank)), rnd.randint(-3, 3))
-              for _ in range(rnd.randint(0, 4))]
+        cases.append((lo, hi, _rows(rnd, rank, 4, 3)))
+    # Boxes of one point, the origin among them, and rows the origin fails.
+    cases += [(lo, lo, ge) for rank in SCAN_BOUND for lo in ([0] * rank, [1] * rank)
+              for ge, eq in _corner_rows(rank) if not eq]
+    cases += [([-1] * rank, [1] * rank, ge) for rank in SCAN_BOUND
+              for ge, eq in _corner_rows(rank) if not eq]
+    for lo, hi, ge in cases:
         want = [x for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
                 if all(dot(a, x) >= b for a, b in ge)]
         assert box_points(lo, hi, ge) == want, (lo, hi, ge)

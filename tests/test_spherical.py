@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from demroots.catalog import CATALOG, example
-from demroots.lattice import DualVector, LatticeVector, Sublattice
+from demroots.lattice import DualVector, LatticeVector, Sublattice, invariant_factors
 from demroots.rootsystems import standard_root_system, torus_root_system
 from demroots.spherical import (ColorSubset, DatumError, Divisor, SphericalDatum,
                                 full_cone, levi_subset, slice_cone, slice_monoid,
                                 validate, weight_monoid)
+
+from conftest import random_pointed_cone
 
 
 def gstable(name, kappa):
@@ -116,6 +120,30 @@ class TestValidation:
         report = validate(ok)
         assert report.ok
 
+    def test_spans_check_agrees_with_the_hilbert_basis_rule(self):
+        """validate passes weight-monoid-spans-M on every strictly convex record;
+        the rule it replaced read the verdict off the Smith form of the weight
+        monoid's Hilbert basis: rank invariant factors, all 1."""
+        rnd = random.Random(29)
+        seen = {rank: 0 for rank in range(1, 6)}
+        while min(seen.values()) < 12:
+            cone, gens = random_pointed_cone(rnd, max_rank=5, max_gens=6, entry=3)
+            rank = cone.rank
+            datum = SphericalDatum(
+                root_system=torus_root_system(rank), weight_lattice=Sublattice.full(rank),
+                divisors=tuple(gstable(f"d{i}", g) for i, g in enumerate(gens)))
+            try:
+                basis = weight_monoid(datum).hilbert_basis
+            except ValueError as exc:  # over the zonotope cap: no reference
+                assert "too large" in str(exc)
+                continue
+            factors = invariant_factors([v.coords for v in basis]) if basis else ()
+            old_rule = len(factors) == rank and all(f == 1 for f in factors)
+            checks = {c.name: c.passed for c in validate(datum).checks}
+            assert checks["strict-convexity"]
+            assert checks["weight-monoid-spans-M"] == old_rule, gens
+            seen[rank] += 1
+
 
 class TestColorSubset:
     def test_default_keeps_all(self):
@@ -173,6 +201,22 @@ class TestConesAndMonoids:
         d = CATALOG["sl2-plane"]
         c = slice_cone(d, ColorSubset())
         assert c.extremal_rays == ()
+
+    def test_slice_cone_is_the_full_cone_when_the_chart_keeps_every_divisor(self):
+        # Other tests may have evicted one cache but not the other.
+        full_cone.cache_clear()
+        slice_cone.cache_clear()
+        d = CATALOG["torus-quadrant"]
+        assert slice_cone(d, ColorSubset()) is full_cone(d)
+        # Excluding the only color keeps every divisor on the chart too.
+        lone = SphericalDatum(root_system=standard_root_system("A", 1),
+                              weight_lattice=Sublattice.full(1),
+                              divisors=(gstable("g", (1,)), color("t", (2,), "T", {0})))
+        assert slice_cone(lone, ColorSubset("t")) is full_cone(lone)
+        assert slice_cone(lone, ColorSubset()) is not full_cone(lone)
+        d = CATALOG["sl2-times-torus"]
+        assert slice_cone(d, ColorSubset()) is not full_cone(d)
+        assert slice_cone(d, ColorSubset()).extremal_rays != full_cone(d).extremal_rays
 
     def test_caching(self):
         d = CATALOG["torus-quadrant"]

@@ -52,10 +52,29 @@ class TestDemazureRay:
     def test_root_factory_validates(self):
         r = demazure_root(QUADRANT, lv(-1, 2))
         assert r.rho.coords == (1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(-2, 0\) is not a Demazure root"):
             demazure_root(QUADRANT, lv(-2, 0))
-        with pytest.raises(ValueError):
+        # The public constructor checks the root and its ray.
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not a Demazure root"):
             DemazureRoot(mu=lv(1, 1), rho=dv(1, 0), cone=QUADRANT)
+        with pytest.raises(ValueError, match=r"ray mismatch: root \(-1, 2\) belongs "
+                                             r"to ray \(1, 0\)"):
+            DemazureRoot(mu=lv(-1, 2), rho=dv(0, 1), cone=QUADRANT)
+
+    def test_known_ray_is_not_scanned_again(self, monkeypatch):
+        import demroots.toric as toric
+        calls = []
+        scan = toric.demazure_ray
+        monkeypatch.setattr(toric, "demazure_ray",
+                            lambda cone, mu: calls.append(mu) or scan(cone, mu))
+        root = demazure_root(SKEW, lv(1, -1))
+        assert len(calls) == 1
+        roots = enumerate_demazure_roots(SKEW, 2)
+        assert len(calls) == 1 and roots
+        # The roots equal, and hash like, the ones the checked constructor builds.
+        public = tuple(DemazureRoot(r.mu, r.rho, r.cone) for r in roots)
+        assert roots == public and list(map(hash, roots)) == list(map(hash, public))
+        assert root == DemazureRoot(lv(1, -1), dv(1, 2), SKEW)
 
 
 class TestEnumeration:
