@@ -1,108 +1,21 @@
 """Built-in variety records used by the tests and the command line tour.
 
-Each entry is small enough to verify by hand. Torus records have no simple
-roots at all; the rank-one records use a single copy of SL2, written in an
-ambient character lattice large enough to hold the extra torus factors.
+The records are the JSON files in the repository's data/ directory, which
+the package reaches through its records link; the README describes each one.
 """
 
 from __future__ import annotations
 
-from .lattice import DualVector, LatticeVector, Sublattice
-from .rootsystems import root_system, torus_root_system
-from .spherical import Divisor, SphericalDatum
+from pathlib import Path
 
+from .datumio import read_datum
+from .spherical import SphericalDatum
 
-def _gstable(name, kappa):
-    return Divisor(name=name, kappa=DualVector(kappa, lattice="M"), kind="g-stable")
+_RECORDS = Path(__file__).with_name("records")
 
-
-def _color(name, kappa, color_type, moved_by):
-    return Divisor(name=name, kappa=DualVector(kappa, lattice="M"), kind="color",
-                   color_type=color_type, moved_by=frozenset(moved_by))
-
-
-def _sl2(ambient_rank):
-    alpha = (2,) + (0,) * (ambient_rank - 1)
-    coroot = (1,) + (0,) * (ambient_rank - 1)
-    return root_system([LatticeVector(alpha, lattice="X(T)")],
-                       [DualVector(coroot, lattice="X(T)")], ambient_rank)
-
-
-def _full(rank):
-    return Sublattice.full(rank)
-
-
-# The affine plane under its 2-torus. Two coordinate axis divisors.
-TORUS_QUADRANT = SphericalDatum(
-    root_system=torus_root_system(2),
-    weight_lattice=_full(2),
-    divisors=(_gstable("axis-x", (1, 0)), _gstable("axis-y", (0, 1))))
-
-# C* x C under the 2-torus: a single divisor, valuation cone a lone ray.
-TORUS_HALFPLANE = SphericalDatum(
-    root_system=torus_root_system(2),
-    weight_lattice=_full(2),
-    divisors=(_gstable("axis", (1, 0)),))
-
-# Affine 3-space, the simplicial cone on the standard basis.
-TORUS_SPACE = SphericalDatum(
-    root_system=torus_root_system(3),
-    weight_lattice=_full(3),
-    divisors=(_gstable("plane-yz", (1, 0, 0)), _gstable("plane-xz", (0, 1, 0)),
-              _gstable("plane-xy", (0, 0, 1))))
-
-# A singular toric surface: the cone on (1,0) and (1,2).
-TORUS_SKEW = SphericalDatum(
-    root_system=torus_root_system(2),
-    weight_lattice=_full(2),
-    divisors=(_gstable("edge-a", (1, 0)), _gstable("edge-b", (1, 2))))
-
-# SL2 on its defining plane. One color, the origin's blowdown line class.
-SL2_PLANE = SphericalDatum(
-    root_system=_sl2(1),
-    weight_lattice=_full(1),
-    divisors=(_color("line", (1,), "U", (0,)),))
-
-# SL2 x C* on the plane: the color plus a torus-fixed axis divisor.
-SL2_TIMES_TORUS = SphericalDatum(
-    root_system=_sl2(2),
-    weight_lattice=_full(2),
-    divisors=(_color("line", (1, 0), "U", (0,)),
-              _gstable("axis", (0, 1))))
-
-# An SL2 variety with two type-T colors on one ray; weights are even.
-SL2_TWO_COLORS = SphericalDatum(
-    root_system=_sl2(1),
-    weight_lattice=Sublattice(1, ((2,),), lattice="X(T)"),
-    divisors=(_color("plus", (1,), "T", (0,)),
-              _color("minus", (1,), "T", (0,))))
-
-# A type-T color sharing its moving root with a U color but not its ray.
-# Excluding the T color leaves a chart whose lone divisor it is.
-BLURRING_PAIR = SphericalDatum(
-    root_system=_sl2(2),
-    weight_lattice=_full(2),
-    divisors=(_color("tcol", (1, 0), "T", (0,)),
-              _color("ucol", (0, 1), "U", (0,))))
-
-# Two divisors stacked on a single ray; no moving subgroup can separate them.
-SHARED_RAY = SphericalDatum(
-    root_system=torus_root_system(2),
-    weight_lattice=_full(2),
-    divisors=(_gstable("inner", (1, 0)), _gstable("outer", (2, 0))))
-
-
-CATALOG = {
-    "torus-quadrant": TORUS_QUADRANT,
-    "torus-halfplane": TORUS_HALFPLANE,
-    "torus-space": TORUS_SPACE,
-    "torus-skew": TORUS_SKEW,
-    "sl2-plane": SL2_PLANE,
-    "sl2-times-torus": SL2_TIMES_TORUS,
-    "sl2-two-colors": SL2_TWO_COLORS,
-    "blurring-pair": BLURRING_PAIR,
-    "shared-ray": SHARED_RAY,
-}
+CATALOG = {path.stem: read_datum(path) for path in sorted(_RECORDS.glob("*.json"))}
+if not CATALOG:
+    raise FileNotFoundError(f"no record files in {_RECORDS}")
 
 
 def example(name: str) -> SphericalDatum:

@@ -210,11 +210,7 @@ def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
         raise RankMismatch(f"rank mismatch: {v.rank} vs {rho.rank}")
     if v.is_zero() or rho.is_zero():
         raise ValueError("ray membership needs nonzero vectors")
-    for i in range(v.rank):
-        for j in range(i + 1, v.rank):
-            if v.coords[i] * rho.coords[j] != v.coords[j] * rho.coords[i]:
-                return False
-    return dot(v.coords, rho.coords) > 0
+    return primitive_tuple(v.coords) == primitive_tuple(rho.coords)
 
 
 @dataclass(frozen=True)

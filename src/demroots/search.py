@@ -116,11 +116,6 @@ def find_witness(datum: SphericalDatum, name: str,
     subset = ColorSubset(None if not d.is_color() else name)
     chart_cone = slice_cone(datum, subset)
     rho = check.ray
-    if rho not in chart_cone.extremal_rays:
-        # cannot happen for a pointed record; guards corrupted cone data
-        failed = RayCheck(divisor=name, status=FAILS, ray=rho,
-                          reason="ray is not extremal on the open chart")
-        return MoveReport(divisor=name, check=failed, status=FAILS)
 
     mu = next(ray_root_points(chart_cone, rho, search_bound), None)
     if mu is None:

@@ -9,7 +9,8 @@ from demroots.cones import (Cone, ContainsLine, WeightMonoid, _dual_v_representa
 from demroots import cones, lattice
 from demroots.lattice import DualVector, LatticeVector, RankMismatch, Sublattice, primitive_tuple
 
-from conftest import in_cone_oracle, random_pointed_cone, rational_rank, verify_hilbert_basis
+from conftest import (_same_open_ray, in_cone_oracle, random_pointed_cone, rational_rank,
+                      verify_hilbert_basis)
 
 
 def dv(*c):
@@ -92,6 +93,44 @@ class TestRayPredicates:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             on_nonnegative_ray(dv(0, 0), dv(1, 0))
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(RankMismatch, match="different lattices"):
+            on_nonnegative_ray(dv(1, 0), DualVector((1, 0), lattice="X(T)"))
+        with pytest.raises(RankMismatch, match="rank mismatch: 2 vs 3"):
+            on_nonnegative_ray(dv(1, 0), dv(1, 0, 0))
+
+    def test_agrees_with_the_minor_rule(self):
+        """Equal primitive vectors iff every 2x2 minor of (v, rho) vanishes
+        and the pairing is positive, on at least 500 seeded pairs of rank 1-5."""
+        rnd = random.Random(47)
+        kinds = {"positive": 0, "negative": 0, "perturbed": 0, "random": 0}
+        answers = set()
+        for n in range(600):
+            rank = 1 + n % 5
+            rho = (0,) * rank
+            while not any(rho):
+                rho = tuple(rnd.choice((0, 0, rnd.randint(-4, 4))) for _ in range(rank))
+            p = primitive_tuple(rho)
+            kind = rnd.choice(sorted(kinds))
+            if kind == "positive":
+                v = tuple(rnd.randint(1, 5) * c for c in p)
+            elif kind == "negative":
+                v = tuple(-rnd.randint(1, 5) * c for c in p)
+            elif kind == "perturbed":
+                v = list(rho)
+                v[rnd.randrange(rank)] += rnd.choice((-1, 1))
+                v = tuple(v)
+            else:
+                v = tuple(rnd.randint(-3, 3) for _ in range(rank))
+            if not any(v):
+                continue
+            kinds[kind] += 1
+            expected = _same_open_ray(v, rho)
+            assert on_nonnegative_ray(dv(*v), dv(*rho)) == expected, (v, rho)
+            answers.add(expected)
+        assert sum(kinds.values()) >= 500 and min(kinds.values()) >= 100, kinds
+        assert answers == {True, False}
 
 
 def cone_tiers(rnd, max_gens):

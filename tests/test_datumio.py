@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,21 @@ class TestRoundTrip:
     def test_parse_valid_doc(self):
         datum = parse_datum(json.dumps(valid_doc()))
         assert datum == CATALOG["sl2-times-torus"]
+
+
+class TestCatalogLocation:
+    def test_one_entry_per_data_file(self):
+        stems = sorted(p.stem for p in DATA.glob("*.json"))
+        assert len(stems) == 9
+        assert sorted(CATALOG) == stems
+
+    def test_loads_from_any_working_directory(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(DATA.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from demroots.catalog import CATALOG; print(*CATALOG)"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == sorted(CATALOG)
 
 
 def _expect_reject(doc, exc=DatumFormatError):

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -6,9 +7,15 @@ import pytest
 from demroots.catalog import CATALOG
 from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, Sublattice
-from demroots.rootsystems import torus_root_system
+from demroots.rootsystems import standard_root_system, torus_root_system
 from demroots.search import (check_divisor_ray, find_witness, gstable_report)
-from demroots.spherical import Divisor, SphericalDatum, validate
+from demroots.spherical import ColorSubset, Divisor, SphericalDatum, slice_cone, validate
+
+from conftest import random_pointed_cone
+
+
+def gstable(name, kappa):
+    return Divisor(name=name, kappa=DualVector(kappa, lattice="M"), kind="g-stable")
 
 
 class TestRayCheck:
@@ -75,6 +82,49 @@ class TestRayCheck:
         c = check_divisor_ray(d, "mid")
         assert c.status == "fails"
         assert "extremal" in c.reason
+
+    def test_held_ray_is_extremal_on_the_chart(self):
+        """The chart cone lies in the full cone and contains the divisor's
+        ray, so a ray extremal in the full cone stays extremal on the chart:
+        on the bundled records, on 60 random valid torus records of rank 2-5
+        and on random valid SL2 x torus records with colors."""
+        rnd = random.Random(83)
+        records = list(CATALOG.values())
+        while len(records) < len(CATALOG) + 60:
+            cone, gens = random_pointed_cone(rnd, min_rank=2, max_rank=5, max_gens=6, entry=3)
+            records.append(SphericalDatum(
+                root_system=torus_root_system(cone.rank),
+                weight_lattice=Sublattice.full(cone.rank),
+                divisors=tuple(gstable(f"d{i}", g) for i, g in enumerate(gens))))
+        colored = 0
+        while colored < 40:
+            rank = rnd.randint(2, 5)
+            divisors = []
+            for i in range(rnd.randint(2, 5)):
+                kappa = tuple(rnd.randint(-2, 2) for _ in range(rank))
+                if rnd.random() < 0.5:
+                    divisors.append(gstable(f"d{i}", kappa))
+                else:
+                    divisors.append(Divisor(
+                        name=f"d{i}", kappa=DualVector(kappa, lattice="M"), kind="color",
+                        color_type=rnd.choice("TTU"), moved_by=frozenset({0})))
+            datum = SphericalDatum(
+                root_system=standard_root_system("A", 1, ambient_rank=rank),
+                weight_lattice=Sublattice.full(rank), divisors=tuple(divisors))
+            if datum.colors and validate(datum).ok:
+                records.append(datum)
+                colored += 1
+        held = sliced = 0
+        for datum in records:
+            for d in datum.divisors:
+                check = check_divisor_ray(datum, d.name)
+                if check.status != "holds":
+                    continue
+                subset = ColorSubset(d.name if d.is_color() else None)
+                assert check.ray in slice_cone(datum, subset).extremal_rays, (datum, d.name)
+                held += 1
+                sliced += bool(subset.resolve(datum))
+        assert held >= 100 and sliced >= 50, (held, sliced)
 
 
 class TestFindWitness:
