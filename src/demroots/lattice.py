@@ -45,6 +45,13 @@ class _Vector:
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_int_tuple(self.coords))
 
+    @classmethod
+    def _trusted(cls, coords: tuple, lattice: str):
+        """A vector of an int tuple the caller has built: no re-validation."""
+        v = object.__new__(cls)
+        v.__dict__.update(coords=coords, lattice=lattice)
+        return v
+
     @property
     def rank(self) -> int:
         return len(self.coords)

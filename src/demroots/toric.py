@@ -152,7 +152,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         acc = dict(self.terms)
         for lam, c in other.terms:
-            acc[lam] = acc.get(lam, Fraction(0)) + c
+            acc[lam] = acc.get(lam, 0) + c
         return AlgebraElement.from_dict(acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -164,7 +164,7 @@ class AlgebraElement:
             for lam, c in self.terms:
                 for mu, d in other.terms:
                     key = lam + mu
-                    acc[key] = acc.get(key, Fraction(0)) + c * d
+                    acc[key] = acc.get(key, 0) + c * d
             return AlgebraElement.from_dict(acc)
         return self.scale(other)
 
@@ -204,7 +204,7 @@ def apply_derivation(root: DemazureRoot, element: AlgebraElement,
         if d == 0:
             continue
         key = lam + root.mu
-        acc[key] = acc.get(key, Fraction(0)) + c * d * scale
+        acc[key] = acc.get(key, 0) + c * d * scale
     return AlgebraElement.from_dict(acc)
 
 
@@ -267,15 +267,15 @@ def exponentiate(root: DemazureRoot, element: AlgebraElement,
 
     The derivation lowers <rho, .> by one, so its k-th power over k! sends
     f_lambda to C(<rho, lambda>, k) f_{lambda + k mu}, and distinct lambda give
-    distinct lambda + k mu: the t^k coefficient is the sum of these times scale^k.
+    distinct lambda + k mu in the same lex order: the t^k coefficient is the
+    sorted tuple of these times scale^k (only k = 0 when scale is 0).
     """
     check_supported(root.cone, element)
     scale = Fraction(scale)
-    terms = [(lam, c, pairing(root.rho, lam)) for lam, c in element.terms]
-    top = max((n for _, _, n in terms), default=0)
-    coeffs = []
-    for k in range(top + 1):
-        shift, factor = k * root.mu, scale ** k
-        coeffs.append(AlgebraElement.from_dict(
-            {lam + shift: comb(n, k) * factor * c for lam, c, n in terms if n >= k}))
-    return FlowPolynomial(tuple(coeffs))
+    scale = scale.numerator if scale.denominator == 1 else scale  # one Fraction product per term
+    mu, lattice = root.mu.coords, root.mu.lattice
+    terms = [(lam.coords, c, pairing(root.rho, lam)) for lam, c in element.terms]
+    top = max((n for _, _, n in terms), default=0) if scale else 0
+    return FlowPolynomial(tuple(AlgebraElement(tuple(
+        (LatticeVector._trusted(tuple(a + k * b for a, b in zip(lam, mu)), lattice),
+         comb(n, k) * scale ** k * c) for lam, c, n in terms if n >= k)) for k in range(top + 1)))

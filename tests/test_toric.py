@@ -254,18 +254,25 @@ class TestExponentiation:
         rnd = random.Random(31)
         scales = [1, 0, -2, Fraction(3, 2), Fraction(-1, 3)]
         done = 0
-        while done < 40:
-            cone, _ = random_pointed_cone(rnd, max_rank=3, max_gens=4, entry=3)
-            roots = enumerate_demazure_roots(cone, 2)
-            weights = [tuple(rnd.randint(-4, 4) for _ in range(cone.rank))
-                       for _ in range(12)]
-            weights = [w for w in weights if cone.dual_contains(lv(*w))]
+        while done < 50:  # each rank 1-5 with each scale twice
+            rank = 1 + done % 5
+            cone, _ = random_pointed_cone(rnd, rank, max_gens=6, entry=3, min_rank=rank)
+            roots = enumerate_demazure_roots(cone, 2 if cone.rank < 4 else 1)
+            # dual-cone points: the dual rays times k >= 0, the lineality times any k
+            steps = [(r, 0) for r in cone.dual_rays] + [(u, -2) for u in cone.dual_lineality]
+            weights = []
+            for _ in range(6):
+                w = (0,) * cone.rank
+                for g, low in steps:
+                    k = rnd.randint(low, 2)
+                    w = tuple(a + k * b for a, b in zip(w, g))
+                weights.append(w)
             if not roots:
                 continue
             root = rnd.choice(roots)
             f = AlgebraElement.from_dict(
                 {lv(*w): Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for w in weights})
-            scale = scales[done % len(scales)]
+            scale = scales[done // 5 % len(scales)]
             assert exponentiate(root, f, scale) == self.by_definition(root, f, scale)
             done += 1
 
