@@ -240,14 +240,13 @@ def _parse_term(text: str, rank: int):
 
 def _cmd_exp(args) -> int:
     from .lattice import LatticeVector
-    from .toric import AlgebraElement, check_supported, demazure_root, exponentiate
+    from .toric import AlgebraElement, demazure_root, exponentiate
     cone = _parse_cone(args.cone)
     mu = LatticeVector(_csv_ints(args.root, "--root"), lattice="M")
     root = demazure_root(cone, mu)
     element = AlgebraElement.zero()
     for term in args.term:
         element = element + _parse_term(term, cone.rank)
-    check_supported(cone, element)
     poly = exponentiate(root, element)
     doc = {"root": list(mu.coords), "ray": list(root.rho.coords),
            "polynomial": [

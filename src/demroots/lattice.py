@@ -8,7 +8,7 @@ another by accident.
 One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, leading
 principal minors, and, run on a matrix beside an identity block, inverses of
 unimodular matrices and the coordinates of a vector in a sublattice basis; the
-Smith normal form gives integer kernels and invariant factors.
+Smith normal form gives integer kernels.
 """
 
 from __future__ import annotations
@@ -307,11 +307,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
     to_t = lambda M: tuple(tuple(row) for row in M)
     return to_t(U), to_t(A), to_t(V)
-
-
-def invariant_factors(matrix) -> tuple:
-    _, D, _ = smith_normal_form(matrix)
-    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0)
 
 
 def matrix_rank(matrix) -> int:

@@ -119,21 +119,22 @@ class AlgebraElement:
 
     @classmethod
     def from_dict(cls, mapping) -> "AlgebraElement":
-        items = []
-        for lam, c in mapping.items():
-            if not isinstance(lam, LatticeVector):
-                lam = LatticeVector(tuple(lam))
-            c = Fraction(c)
-            if c != 0:
-                items.append((lam, c))
-        items.sort(key=lambda t: t[0].coords)
-        return cls(tuple(items))
+        """The element of a {weight: coefficient} mapping from outside input.
+
+        Weights may be LatticeVectors or int tuples (read in M), coefficients
+        anything Fraction accepts; a weight given both ways is one weight.
+        """
+        return cls._collect((lam if isinstance(lam, LatticeVector) else LatticeVector(tuple(lam)),
+                             Fraction(c)) for lam, c in mapping.items())
 
     @classmethod
-    def monomial(cls, lam, coefficient=1, lattice: str = "M") -> "AlgebraElement":
-        if not isinstance(lam, LatticeVector):
-            lam = LatticeVector(tuple(lam), lattice)
-        return cls.from_dict({lam: coefficient})
+    def _collect(cls, pairs) -> "AlgebraElement":
+        """Sum the coefficients of equal weights, drop zero sums, sort by coords."""
+        acc = {}
+        for lam, c in pairs:
+            acc[lam] = acc[lam] + c if lam in acc else c
+        return cls(tuple(sorted(((lam, c) for lam, c in acc.items() if c),
+                                key=lambda t: t[0].coords)))
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -150,22 +151,15 @@ class AlgebraElement:
         return tuple(lam for lam, _ in self.terms)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        acc = dict(self.terms)
-        for lam, c in other.terms:
-            acc[lam] = acc.get(lam, 0) + c
-        return AlgebraElement.from_dict(acc)
+        return AlgebraElement._collect(self.terms + other.terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            acc = {}
-            for lam, c in self.terms:
-                for mu, d in other.terms:
-                    key = lam + mu
-                    acc[key] = acc.get(key, 0) + c * d
-            return AlgebraElement.from_dict(acc)
+            return AlgebraElement._collect((lam + mu, c * d) for lam, c in self.terms
+                                           for mu, d in other.terms)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -173,12 +167,14 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         c = Fraction(c)
-        return AlgebraElement.from_dict({lam: c * v for lam, v in self.terms})
+        return AlgebraElement(tuple((lam, c * v) for lam, v in self.terms) if c else ())
 
 
 def monomial(lam, coefficient=1, lattice: str = "M") -> AlgebraElement:
     """Single-term element with the given weight and coefficient."""
-    return AlgebraElement.monomial(lam, coefficient, lattice)
+    if not isinstance(lam, LatticeVector):
+        lam = LatticeVector(tuple(lam), lattice)
+    return AlgebraElement.from_dict({lam: coefficient})
 
 
 def check_supported(cone: Cone, element: AlgebraElement):
@@ -198,14 +194,8 @@ def apply_derivation(root: DemazureRoot, element: AlgebraElement,
     """
     check_supported(root.cone, element)
     scale = Fraction(scale)
-    acc = {}
-    for lam, c in element.terms:
-        d = pairing(root.rho, lam)
-        if d == 0:
-            continue
-        key = lam + root.mu
-        acc[key] = acc.get(key, 0) + c * d * scale
-    return AlgebraElement.from_dict(acc)
+    return AlgebraElement._collect((lam + root.mu, c * pairing(root.rho, lam) * scale)
+                                   for lam, c in element.terms)
 
 
 def nilpotency_index(root: DemazureRoot, lam: LatticeVector) -> int:

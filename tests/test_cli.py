@@ -223,6 +223,11 @@ class TestExp:
                        "--term", "0,-1", expect=1)
         assert "outside the weight monoid" in proc.stderr
 
+    def test_unsupported_weight_reported_once(self):
+        proc = run_cli("exp", "--cone", "1,0;0,1", "--root=-1,0", "--term=-1,0", expect=1)
+        assert proc.stderr.splitlines() == [
+            "error: weight (-1, 0) lies outside the weight monoid of the cone"]
+
     def test_json(self):
         out = run_cli("exp", "--cone", "1,0;0,1", "--root=-1,0",
                       "--term", "1,0", "--format", "json").stdout

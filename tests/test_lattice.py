@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from demroots.lattice import (DualVector, LatticeVector, RankMismatch, Sublattice,
-                              content, integer_kernel, invariant_factors, matrix_rank,
+                              content, integer_kernel, matrix_rank,
                               pairing, primitive, primitive_tuple, smith_normal_form,
                               unimodular_inverse)
 from demroots.toric import monomial
@@ -210,10 +210,6 @@ class TestSmithNormalForm:
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
-
-    def test_invariant_factors(self):
-        assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
-        assert invariant_factors([[2, 4], [4, 8]]) == (2,)
 
     def test_matrix_rank(self):
         assert matrix_rank([[1, 2], [2, 4]]) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,46 @@ def lv(*c):
 
 QUADRANT = build_cone([dv(1, 0), dv(0, 1)])
 SKEW = build_cone([dv(1, 0), dv(1, 2)])
+
+
+def dual_monoid_weights(rnd, cone, count):
+    """count random points of the cone's dual monoid, as int tuples: the dual
+    rays times k >= 0 plus the lineality times any k."""
+    steps = [(r, 0) for r in cone.dual_rays] + [(u, -2) for u in cone.dual_lineality]
+    weights = []
+    for _ in range(count):
+        w = (0,) * cone.rank
+        for g, low in steps:
+            k = rnd.randint(low, 2)
+            w = tuple(a + k * b for a, b in zip(w, g))
+        weights.append(w)
+    return weights
+
+
+def element_dicts(rank):
+    """{weight: coefficient} mappings of one rank with int tuple keys; zero
+    coefficients allowed."""
+    return st.dictionaries(st.tuples(*[st.integers(-3, 3)] * rank),
+                           st.fractions(max_denominator=4), max_size=3)
+
+
+def reference(pairs):
+    """(weight, coefficient) pairs summed by coordinates, zeros dropped: the
+    plain-dict model of an algebra element."""
+    out = {}
+    for lam, c in pairs:
+        key = lam.coords if isinstance(lam, LatticeVector) else tuple(lam)
+        out[key] = out.get(key, 0) + Fraction(c)
+    return {lam: c for lam, c in out.items() if c}
+
+
+def as_reference(element):
+    """The element's terms as a plain dict, after checking they are canonical:
+    weights strictly increasing by coords and no zero coefficient."""
+    coords = [lam.coords for lam, _ in element.terms]
+    assert all(a < b for a, b in zip(coords, coords[1:])), coords
+    assert all(isinstance(c, Fraction) and c != 0 for _, c in element.terms)
+    return dict(zip(coords, (c for _, c in element.terms)))
 
 
 def evaluate(poly, t):
@@ -125,20 +166,70 @@ class TestAlgebraElement:
         f = monomial(lv(1, 0), 3)
         assert (Fraction(1, 3) * f).terms == ((lv(1, 0), Fraction(1)),)
 
-    small = st.integers(-3, 3)
+    def test_weight_given_two_ways_is_one_weight(self):
+        e = AlgebraElement.from_dict({(1, 0): 1, lv(1, 0): 2})
+        three = monomial(lv(1, 0), 3)
+        assert e == three
+        assert e + AlgebraElement.zero() == three
+        assert e.scale(1) == three
+        assert e * monomial((0, 0)) == three
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.dictionaries(st.tuples(small, small), st.fractions(max_denominator=4),
-                           max_size=3),
-           st.dictionaries(st.tuples(small, small), st.fractions(max_denominator=4),
-                           max_size=3))
-    def test_ring_laws(self, da, db):
-        f = AlgebraElement.from_dict({lv(*k): v for k, v in da.items()})
-        g = AlgebraElement.from_dict({lv(*k): v for k, v in db.items()})
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda rank: st.tuples(element_dicts(rank),
+                                                            element_dicts(rank))))
+    def test_ring_laws(self, dicts):
+        f, g = (AlgebraElement.from_dict({lv(*k): v for k, v in d.items()}) for d in dicts)
         assert f + g == g + f
         assert f * g == g * f
         assert (f + g) - g == f
         assert f * (g + g) == f * g + f * g
+
+    def test_matches_dict_reference(self):
+        """+, -, *, scale and the derivation agree with plain dicts on random
+        elements of rank 1-5 whose keys mix int tuples and LatticeVectors."""
+        rnd = random.Random(43)
+        add = lambda lam, mu: tuple(a + b for a, b in zip(lam, mu))
+        for trial in range(60):
+            rank = 1 + trial % 5
+            cone, _ = random_pointed_cone(rnd, rank, max_gens=6, entry=3, min_rank=rank)
+            raw = []
+            for _ in range(2):
+                mapping = {}
+                for w in dual_monoid_weights(rnd, cone, 5):
+                    key = lv(*w) if rnd.random() < 0.5 else w
+                    mapping[key] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+                raw.append(mapping)
+            f, g = (AlgebraElement.from_dict(m) for m in raw)
+            rf, rg = (reference(m.items()) for m in raw)
+            assert as_reference(f) == rf
+            assert as_reference(f + g) == reference([*rf.items(), *rg.items()])
+            assert as_reference(f - g) == reference([*rf.items(),
+                                                     *((lam, -c) for lam, c in rg.items())])
+            assert as_reference(f * g) == reference((add(lam, mu), c * d)
+                                                    for lam, c in rf.items()
+                                                    for mu, d in rg.items())
+            for k in (0, -1, Fraction(3, 2)):
+                assert as_reference(f.scale(k)) == reference((lam, k * c)
+                                                             for lam, c in rf.items())
+            roots = enumerate_demazure_roots(cone, 2 if rank < 4 else 1)
+            if roots:
+                root = rnd.choice(roots)
+                rho, mu = root.rho.coords, root.mu.coords
+                shifted = ((add(lam, mu), c * sum(a * b for a, b in zip(rho, lam)))
+                           for lam, c in rf.items())
+                assert as_reference(apply_derivation(root, f)) == reference(shifted)
+
+    def test_sum_of_2000_monomials_within_budget(self):
+        rnd = random.Random(5)
+        weights = rnd.sample([(a, b, c) for a in range(20) for b in range(20) for c in range(10)],
+                             2000)
+        start = time.perf_counter()
+        total = AlgebraElement.zero()
+        for w in weights:
+            total = total + monomial(w)
+        elapsed = time.perf_counter() - start
+        assert total == AlgebraElement.from_dict(dict.fromkeys(weights, 1))
+        assert elapsed < 4.0, f"2,000 one-at-a-time additions took {elapsed:.2f} s"
 
 
 class TestDerivation:
@@ -258,15 +349,7 @@ class TestExponentiation:
             rank = 1 + done % 5
             cone, _ = random_pointed_cone(rnd, rank, max_gens=6, entry=3, min_rank=rank)
             roots = enumerate_demazure_roots(cone, 2 if cone.rank < 4 else 1)
-            # dual-cone points: the dual rays times k >= 0, the lineality times any k
-            steps = [(r, 0) for r in cone.dual_rays] + [(u, -2) for u in cone.dual_lineality]
-            weights = []
-            for _ in range(6):
-                w = (0,) * cone.rank
-                for g, low in steps:
-                    k = rnd.randint(low, 2)
-                    w = tuple(a + k * b for a, b in zip(w, g))
-                weights.append(w)
+            weights = dual_monoid_weights(rnd, cone, 6)
             if not roots:
                 continue
             root = rnd.choice(roots)
