@@ -266,6 +266,14 @@ def exponentiate(root: DemazureRoot, element: AlgebraElement,
     mu, lattice = root.mu.coords, root.mu.lattice
     terms = [(lam.coords, c, pairing(root.rho, lam)) for lam, c in element.terms]
     top = max((n for _, _, n in terms), default=0) if scale else 0
+    vectors = {}  # lambda + k mu recurs across k: one vector per weight
+
+    def vector(coords):
+        v = vectors.get(coords)
+        if v is None:
+            v = vectors[coords] = LatticeVector._trusted(coords, lattice)
+        return v
+
     return FlowPolynomial(tuple(AlgebraElement(tuple(
-        (LatticeVector._trusted(tuple(a + k * b for a, b in zip(lam, mu)), lattice),
-         comb(n, k) * scale ** k * c) for lam, c, n in terms if n >= k)) for k in range(top + 1)))
+        (vector(tuple(a + k * b for a, b in zip(lam, mu))), comb(n, k) * scale ** k * c)
+        for lam, c, n in terms if n >= k)) for k in range(top + 1)))
