@@ -5,7 +5,8 @@ cone once, on its quotient by the lineality: one fraction-free elimination of
 the halfspaces gives their rank and an independent subset, the Smith form of
 the lineality basis gives a section that lifts the quotient back, and a pointed
 double description starts from the simplicial cone of the independent
-halfspaces and uses the combinatorial adjacency test (Fukuda and Prodon 1996).
+halfspaces and uses the combinatorial adjacency test (Fukuda and Prodon 1996)
+on bitmasks of active halves, after the rank condition on their count.
 The cone keeps that quotient. Its lifted rays give the facet normals, the line
 witness of a cone that is not strictly convex, and the extremal rays.
 Low-dimensional cones, single rays and the zero cone are all first-class.
@@ -15,8 +16,9 @@ lattice points is the lineality basis with its negatives and the lifted
 irreducibles of the pointed quotient, by the primal algorithm (Bruns and Koch
 2001): an irreducible x other than a ray lies in the half-open parallelepiped
 of a simplex of a pulling triangulation that contains it, or else x - r_i is
-in the monoid for a ray r_i of the simplex (Caratheodory). Quotients whose ray
-zonotope's box holds over _ZONOTOPE_CAP points are refused.
+in the monoid for a ray r_i of the simplex (Caratheodory); a plane quotient
+takes the Hirzebruch-Jung walk instead. Quotients whose ray zonotope's box
+holds over _ZONOTOPE_CAP points are refused.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     distinct primitive halves in quotient coordinates, and rays the sorted
     primitive extreme rays of the pointed cone they cut out: the simplicial
     cone of independent rows takes the others one at a time, each ray
-    carrying the processed rows vanishing on it.
+    carrying the bitmask of the processed rows vanishing on it.
     """
     halves = list(dict.fromkeys(primitive_tuple(f) for f in functionals if any(f)))
     pivots = [r for r, _, _ in _bareiss(halves)[1]]
@@ -82,10 +84,10 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     # <P_j, T_c> = det * [j == c]: det * T_c spans the ray where all but P_c vanish.
     det, transform = _transform(list(zip(*(rows[r] for r in pivots))), len(pivots))
     rays = [(primitive_tuple(tuple(det * x for x in transform[c])),
-             frozenset(pivots[:c] + pivots[c + 1:])) for c in range(len(pivots))]
+             sum(1 << r for r in pivots if r != pivots[c])) for c in range(len(pivots))]
 
     for idx in sorted(set(range(len(rows))) - set(pivots)):
-        a = rows[idx]
+        a, bit = rows[idx], 1 << idx
         plus, minus, new_rays = [], [], []
         for ray in rays:
             value = dot(a, ray[0])
@@ -95,15 +97,17 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
             elif value < 0:
                 minus.append((ray, value))
             else:
-                new_rays.append((ray[0], ray[1] | {idx}))
-        # p and q are adjacent iff no third ray is active on all their common halves.
+                new_rays.append((ray[0], ray[1] | bit))
+        # p and q are adjacent iff no third ray is active on all their common
+        # halves, and adjacent rays of the pointed cone share len(pivots) - 2.
         for p, pa in plus:
             for q, qa in minus:
                 common = p[1] & q[1]
-                if any(r[1] >= common for r in rays if r is not p and r is not q):
+                if common.bit_count() < len(pivots) - 2 or any(
+                        r[1] & common == common for r in rays if r is not p and r is not q):
                     continue
                 vec = tuple(pa * y - qa * x for x, y in zip(p[0], q[0]))
-                new_rays.append((primitive_tuple(vec), common | {idx}))
+                new_rays.append((primitive_tuple(vec), common | bit))
         rays = new_rays
     return tuple(units), section, tuple(rows), tuple(sorted(y for y, _ in rays))
 
@@ -188,9 +192,9 @@ def build_cone(generators: Sequence[DualVector], rank: Optional[int] = None,
     # the face a candidate spans is cut out by its active facets: the
     # candidate is extremal iff no other candidate is active on all of them.
     candidates = sorted({primitive_tuple(f) for f in functionals})
-    active = [frozenset(i for i, r in enumerate(rays) if dot(r, c) == 0) for c in candidates]
+    active = [sum(1 << i for i, r in enumerate(rays) if dot(r, c) == 0) for c in candidates]
     extremal = [DualVector(c, lattice) for i, c in enumerate(candidates)
-                if not any(j != i and b >= active[i] for j, b in enumerate(active))]
+                if not any(j != i and b & active[i] == active[i] for j, b in enumerate(active))]
 
     return Cone(
         rank=rank,
@@ -265,6 +269,28 @@ def _parallelepiped(simplex: Sequence[tuple]) -> list:
     return [tuple(x // n for x in v) for v in sums if all(x % n == 0 for x in v)]
 
 
+def _plane_basis(r1: tuple, r2: tuple) -> list:
+    """Irreducibles of the plane cone over independent primitive r1, r2: the
+    Hirzebruch-Jung walk r1 = b_0, ..., b_s = r2 over the lattice points on
+    the compact edges of the hull of its nonzero points (Oda 1988, 1.6)."""
+    def det(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    if det(r1, r2) < 0:
+        r1, r2 = r2, r1
+    (p, q), d0 = r1, det(r1, r2)
+    y = pow(p, -1, abs(q)) if q else p  # b = (x, y) has det(r1, b) = p y - q x = 1
+    b = ((p * y - 1) // q if q else 0, y)
+    t = -(det(b, r2) // d0)  # b_1 = b + t r1 is the first point of b + Z r1 in the cone
+    b1 = (b[0] + t * p, b[1] + t * q)
+    walk, d = [r1, b1], [d0, det(b1, r2)]
+    while d[-1]:  # det(b_i, r2) falls strictly to 0, at b_s = r2
+        a = -(-d[-2] // d[-1])
+        walk.append((a * walk[-1][0] - walk[-2][0], a * walk[-1][1] - walk[-2][1]))
+        d.append(a * d[-1] - d[-2])
+    return sorted(walk)
+
+
 def _pointed_hilbert_basis(rows: Sequence[tuple], ray_gens: Sequence[tuple]) -> list:
     """Irreducible elements of {x in Z^dim : <row, x> >= 0 for all rows}, a
     pointed cone generated by the primitive ray_gens.
@@ -282,6 +308,8 @@ def _pointed_hilbert_basis(rows: Sequence[tuple], ray_gens: Sequence[tuple]) -> 
         size *= sum(map(abs, column)) + 1
         if size > _ZONOTOPE_CAP:
             raise ValueError("zonotope lattice-point enumeration is too large")
+    if len(ray_gens) == 2 == len(ray_gens[0]):
+        return _plane_basis(*ray_gens)
     candidates = set(ray_gens)
     for simplex in _pulling_triangulation(rows, ray_gens, matrix_rank(ray_gens)):
         candidates.update(_parallelepiped(simplex))

@@ -49,7 +49,8 @@ class _Vector:
     def _trusted(cls, coords: tuple, lattice: str):
         """A vector of an int tuple the caller has built: no re-validation."""
         v = object.__new__(cls)
-        v.__dict__.update(coords=coords, lattice=lattice)
+        object.__setattr__(v, "coords", coords)  # no per-instance __dict__ made
+        object.__setattr__(v, "lattice", lattice)
         return v
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .cones import Cone
@@ -60,7 +59,9 @@ class DemazureRoot:
     def _on_ray(cls, mu: LatticeVector, rho: DualVector, cone: Cone) -> "DemazureRoot":
         """A root whose ray rho the caller has already found: no second scan."""
         root = object.__new__(cls)
-        root.__dict__.update(mu=mu, rho=rho, cone=cone)
+        object.__setattr__(root, "mu", mu)
+        object.__setattr__(root, "rho", rho)
+        object.__setattr__(root, "cone", cone)
         return root
 
 
@@ -122,10 +123,14 @@ class AlgebraElement:
         """The element of a {weight: coefficient} mapping from outside input.
 
         Weights may be LatticeVectors or int tuples (read in M), coefficients
-        anything Fraction accepts; a weight given both ways is one weight.
+        anything Fraction accepts; a weight given both ways is one weight. All
+        weights must share one lattice and rank.
         """
-        return cls._collect((lam if isinstance(lam, LatticeVector) else LatticeVector(tuple(lam)),
-                             Fraction(c)) for lam, c in mapping.items())
+        pairs = [(lam if isinstance(lam, LatticeVector) else LatticeVector(tuple(lam)),
+                  Fraction(c)) for lam, c in mapping.items()]
+        for lam, _ in pairs[1:]:
+            pairs[0][0]._check(lam)
+        return cls._collect(pairs)
 
     @classmethod
     def _collect(cls, pairs) -> "AlgebraElement":
@@ -151,6 +156,10 @@ class AlgebraElement:
         return tuple(lam for lam, _ in self.terms)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        if self.terms and other.terms:  # each side has one lattice and rank
+            self.terms[0][0]._check(other.terms[0][0])
         return AlgebraElement._collect(self.terms + other.terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -258,22 +267,24 @@ def exponentiate(root: DemazureRoot, element: AlgebraElement,
     The derivation lowers <rho, .> by one, so its k-th power over k! sends
     f_lambda to C(<rho, lambda>, k) f_{lambda + k mu}, and distinct lambda give
     distinct lambda + k mu in the same lex order: the t^k coefficient is the
-    sorted tuple of these times scale^k (only k = 0 when scale is 0).
+    sorted tuple of these times scale^k (only k = 0 when scale is 0), stepped
+    in k per term as an exact integer ratio, one Fraction per output term.
     """
     check_supported(root.cone, element)
     scale = Fraction(scale)
-    scale = scale.numerator if scale.denominator == 1 else scale  # one Fraction product per term
+    p, q = scale.numerator, scale.denominator
     mu, lattice = root.mu.coords, root.mu.lattice
-    terms = [(lam.coords, c, pairing(root.rho, lam)) for lam, c in element.terms]
-    top = max((n for _, _, n in terms), default=0) if scale else 0
+    columns = [[]]
     vectors = {}  # lambda + k mu recurs across k: one vector per weight
-
-    def vector(coords):
-        v = vectors.get(coords)
-        if v is None:
-            v = vectors[coords] = LatticeVector._trusted(coords, lattice)
-        return v
-
-    return FlowPolynomial(tuple(AlgebraElement(tuple(
-        (vector(tuple(a + k * b for a, b in zip(lam, mu))), comb(n, k) * scale ** k * c)
-        for lam, c, n in terms if n >= k)) for k in range(top + 1)))
+    for lam, c in element.terms:
+        n = pairing(root.rho, lam) if p else 0
+        coords, num, den = lam.coords, c.numerator, c.denominator
+        columns += [[] for _ in range(n + 1 - len(columns))]
+        for k in range(n + 1):
+            v = vectors.get(coords)
+            if v is None:
+                v = vectors[coords] = LatticeVector._trusted(coords, lattice)
+            columns[k].append((v, Fraction(num, den)))
+            coords = tuple(a + b for a, b in zip(coords, mu))
+            num, den = num * (n - k) * p // (k + 1), den * q
+    return FlowPolynomial(tuple(AlgebraElement(tuple(column)) for column in columns))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,7 +10,7 @@ from demroots.cones import (Cone, ContainsLine, WeightMonoid, _dual_v_representa
 from demroots import cones, lattice
 from demroots.lattice import DualVector, LatticeVector, RankMismatch, Sublattice, primitive_tuple
 
-from conftest import (_same_open_ray, in_cone_oracle, random_pointed_cone, rational_rank,
+from conftest import (_same_open_ray, dot, in_cone_oracle, random_pointed_cone, rational_rank,
                       verify_hilbert_basis)
 
 
@@ -255,6 +256,31 @@ class TestDoubleDescriptionOnRawHalfspaces:
                 assert rational_rank(active) == dim - 1, (halves, r)
                 assert not in_cone_oracle(rays[:i] + rays[i + 1:] + units, r), (halves, r)
         assert min(kinds.values()) >= 100, kinds
+
+    def test_ladder_of_many_halves_within_budget(self):
+        """Pointed halfspace sets of rank 4-6 with 40-80 halves, hundreds of
+        rays at rank 6: the same rank and irredundancy checks on a sample of
+        the rays, and the same rays for the halves in another order. Without
+        the adjacency rank filter the three descriptions took about 3 s."""
+        rnd = random.Random(5)
+        elapsed = 0.0
+        for rank, count in ((4, 40), (5, 60), (6, 80)):
+            halves = [(rnd.randint(5, 9),) + tuple(rnd.randint(-4, 4) for _ in range(rank - 1))
+                      for _ in range(count)]
+            start = time.perf_counter()
+            units, _, _, rays = _dual_v_representation(halves, rank)
+            elapsed += time.perf_counter() - start
+            assert not units and len(rays) >= 5 * rank, (rank, len(rays))
+            shuffled = rnd.sample(halves, len(halves))
+            assert _dual_v_representation(shuffled, rank)[3] == rays, rank
+            for r in rnd.sample(rays, min(40, len(rays))):
+                active = [h for h in halves if dot(h, r) == 0]
+                assert all(dot(h, r) >= 0 for h in halves), (rank, r)
+                assert rational_rank(active) == rank - 1, (rank, r)
+                # a combination giving r uses only rays active where r is
+                face = [s for s in rays if s != r and all(dot(h, s) == 0 for h in active)]
+                assert not in_cone_oracle(face, r), (rank, r)
+        assert elapsed < 1.5, f"double descriptions took {elapsed:.2f} s"
 
 
 class TestDualMonoid:

@@ -114,6 +114,42 @@ def test_two_dimensional_cliff():
     assert basis == sorted([(1, 0)] + [(-k, k + 1) for k in range(200)])
 
 
+def test_plane_bases_by_the_continued_fraction_walk():
+    """Seeded plane cones of determinant up to 10^4, with either ray order:
+    the whole-box reference where the box is small, the descent oracle
+    elsewhere."""
+    rnd = random.Random(41)
+    referenced = 0
+    for n in range(100):
+        top = 10 ** (1 + n % 4)
+        det, e = 0, int(top ** 0.5) + 1
+        while not 0 < abs(det) <= top:
+            gens = [(rnd.randint(-e, e), rnd.randint(-e, e)) for _ in range(2)]
+            det = gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0]
+        cone = build_cone([DualVector(g) for g in gens])
+        basis = [v.coords for v in dual_monoid(cone).hilbert_basis]
+        rays = tuple(sorted(cone.dual_rays))
+        assert _pointed_hilbert_basis(cone._quotient[2], rays[::-1]) == basis, gens
+        if _zonotope_box(rays) <= 150:
+            referenced += 1
+            assert basis == _reference_basis(gens, 2), gens
+        else:
+            verify_hilbert_basis(gens, basis, box_bound=1)
+    assert 20 <= referenced <= 80, referenced
+
+
+def test_wide_plane_record_in_linear_time():
+    """The torus record (n, 1), (n, -1): the dual monoid's basis is the 2n + 1
+    points (1, k), |k| <= n, walked in O(n) steps."""
+    for n in (10 ** 3, 10 ** 4):
+        datum = _torus_record([(n, 1), (n, -1)])
+        start = time.perf_counter()
+        basis = [v.coords for v in weight_monoid(datum).hilbert_basis]
+        elapsed = time.perf_counter() - start
+        assert basis == [(1, k) for k in range(-n, n + 1)], n
+        assert elapsed < 2.0, f"n = {n} took {elapsed:.2f} s"
+
+
 def _torus_record(kappas):
     rank = len(kappas[0])
     doc = {"cartan": {"ambient_rank": rank, "simple_roots": [], "simple_coroots": []},

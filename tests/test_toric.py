@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demroots.cones import build_cone
-from demroots.lattice import DualVector, LatticeVector, Sublattice
+from demroots.lattice import DualVector, LatticeVector, RankMismatch, Sublattice
 from demroots.toric import (AlgebraElement, DemazureRoot, FlowPolynomial,
                             apply_derivation, check_supported, demazure_ray,
                             demazure_root, enumerate_demazure_roots,
@@ -219,6 +219,23 @@ class TestAlgebraElement:
                            for lam, c in rf.items())
                 assert as_reference(apply_derivation(root, f)) == reference(shifted)
 
+    def test_sum_with_a_number_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            monomial((1, 0)) + 0
+        with pytest.raises(TypeError):
+            monomial((1, 0)) - 1
+
+    def test_mixed_ranks_refused_at_entry(self):
+        with pytest.raises(RankMismatch):
+            AlgebraElement.from_dict({(1, 0): 1, (1, 0, 0): 2})
+        with pytest.raises(RankMismatch):
+            AlgebraElement.from_dict({(1, 0): 1, LatticeVector((1, 0), "X(T)"): 2})
+        with pytest.raises(RankMismatch):
+            monomial((1, 0)) + monomial((1, 0, 0))
+        with pytest.raises(RankMismatch):
+            monomial((1, 0)) * monomial((1, 0, 0))
+        assert monomial((1, 0)) + AlgebraElement.zero() == monomial((1, 0))
+
     def test_sum_of_2000_monomials_within_budget(self):
         rnd = random.Random(5)
         weights = rnd.sample([(a, b, c) for a in range(20) for b in range(20) for c in range(10)],
@@ -358,6 +375,17 @@ class TestExponentiation:
             scale = scales[done // 5 % len(scales)]
             assert exponentiate(root, f, scale) == self.by_definition(root, f, scale)
             done += 1
+
+    def test_rational_coefficients_and_scales(self):
+        """Coefficients with denominators, against the derivation applied k
+        times over k!, for every scale: the coefficient steps stay exact."""
+        f = monomial(lv(3, 1), Fraction(2, 3)) + monomial(lv(5, 2), Fraction(-5, 7))
+        for cone, mu, degree in ((QUADRANT, lv(-1, 1), 5), (SKEW, lv(1, -1), 9)):
+            root = demazure_root(cone, mu)
+            for scale in (0, -2, Fraction(3, 2), Fraction(-1, 3)):
+                poly = exponentiate(root, f, scale)
+                assert poly == self.by_definition(root, f, scale), (mu, scale)
+                assert poly.degree() == (degree if scale else 0)
 
     def test_closed_form_edge_cases(self):
         root = demazure_root(QUADRANT, lv(-1, 0))
