@@ -9,6 +9,13 @@ the formal summand derivation delta_alpha; these factors are recorded
 symbolically, since evaluating delta_alpha needs the variety itself rather
 than its record.
 
+What a weight query needs of the record alone is built once per (record,
+chart): the chart cone's generators and each summand highest weight alpha
+with its residue in M (``Sublattice.residue``). Since the residue map is
+linear, mu - alpha lies in M iff the residues of mu and alpha agree and the
+lattice's det divides the difference of their numerators; the quotient is
+the coordinate vector the generators test. No difference vector is built.
+
 Geometric reading: a derivation with only unipotent terms integrates to a
 subgroup fixing every B-stable divisor class off the chart (vertical); a
 nonzero toric term moves exactly one divisor, the one whose valuation vector
@@ -18,14 +25,17 @@ the G-stable case and the excluded-color case.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .cones import on_nonnegative_ray
 from .lattice import LatticeVector, DualVector
 from .rootsystems import nilradical_highest_weights
-from .spherical import ColorSubset, DatumError, SphericalDatum, levi_subset, slice_cone
+from .spherical import (_CACHED_DATA, ColorSubset, DatumError, SphericalDatum, levi_subset,
+                        slice_cone)
 from .toric import demazure_ray
 
 VERTICAL = "vertical"
@@ -74,8 +84,7 @@ class Classification:
 def congruent_summand_weights(datum: SphericalDatum, mu: LatticeVector) -> tuple:
     """Nilradical summand highest weights alpha with mu - alpha in M."""
     _check_weight(datum, mu)
-    omega = nilradical_highest_weights(datum.root_system, levi_subset(datum))
-    return tuple(a for a in omega if datum.weight_lattice.contains(mu - a))
+    return _summands(datum, None, *datum.weight_lattice.residue(mu))
 
 
 def realizable_summand_weights(datum: SphericalDatum, subset: ColorSubset,
@@ -85,28 +94,51 @@ def realizable_summand_weights(datum: SphericalDatum, subset: ColorSubset,
     mu - alpha must pair nonnegatively with every valuation vector of the
     chart's divisors, so that f_{mu - alpha} is a regular function there.
     """
-    cone = slice_cone(datum, subset)
+    _chart_table(datum, subset)  # a bad chart is reported before a bad weight
     _check_weight(datum, mu)
-    out = []
-    for a in nilradical_highest_weights(datum.root_system, levi_subset(datum)):
-        coords = datum.weight_lattice.coordinates(mu - a)
-        if coords is not None and cone.dual_contains(LatticeVector(coords, lattice="M")):
-            out.append(a)
-    return tuple(out)
+    return _summands(datum, subset, *datum.weight_lattice.residue(mu))
 
 
 def lnd_basis(datum: SphericalDatum, subset: ColorSubset, mu: LatticeVector) -> tuple:
     """Basis of the B-normalized locally nilpotent derivations of weight mu."""
     _check_weight(datum, mu)
+    num, res = datum.weight_lattice.residue(mu)
     terms = [LndDescriptor(weight=mu, kind="unipotent", root=a)
-             for a in realizable_summand_weights(datum, subset, mu)]
-    coords = datum.weight_lattice.coordinates(mu)
+             for a in _summands(datum, subset, num, res)]
+    coords = None if any(res) else datum.weight_lattice.divide(num)
     if coords is not None:
-        cone = slice_cone(datum, subset)
-        ray = demazure_ray(cone, LatticeVector(coords, lattice="M"))
+        ray = demazure_ray(slice_cone(datum, subset), LatticeVector(coords, lattice="M"))
         if ray is not None:
             terms.append(LndDescriptor(weight=mu, kind="toric", ray=ray))
     return tuple(terms)
+
+
+@lru_cache(maxsize=_CACHED_DATA)
+def _chart_table(datum: SphericalDatum, subset: Optional[ColorSubset]) -> tuple:
+    """The chart cone's generators as int tuples (None, and no cone built, for
+    subset None) and each summand highest weight with its residue in M."""
+    gens = None
+    if subset is not None:
+        gens = tuple(g.coords for g in slice_cone(datum, subset).generators)
+    omega = nilradical_highest_weights(datum.root_system, levi_subset(datum))
+    return gens, tuple((a, *datum.weight_lattice.residue(a)) for a in omega)
+
+
+def _summands(datum: SphericalDatum, subset: Optional[ColorSubset],
+              num: tuple, res: tuple) -> tuple:
+    """The summand weights alpha with mu - alpha in M, mu of residue (num, res),
+    and in the chart's weight cone unless subset is None."""
+    gens, summands = _chart_table(datum, subset)
+    out = []
+    for a, num_a, res_a in summands:
+        if res_a != res:
+            continue
+        coords = datum.weight_lattice.divide([x - y for x, y in zip(num, num_a)])
+        if coords is None or gens is not None and any(
+                sum(map(operator.mul, g, coords)) < 0 for g in gens):
+            continue
+        out.append(a)
+    return tuple(out)
 
 
 def classify(datum: SphericalDatum, subset: ColorSubset,

@@ -390,9 +390,12 @@ def _bareiss(matrix):
 class Sublattice:
     """A finite-rank subgroup of Z^ambient_rank given by independent basis rows.
 
-    The rows are reduced once by _transform; _solver keeps the last pivot, the
-    pivot columns, and the columns of the T_c and of the rows, so coordinates
-    cost one matrix-vector product to solve and one to check.
+    The rows are reduced once by _transform; _solver keeps the last pivot det,
+    the pivot columns, and the columns of the T_c and of the rows. They give
+    the linear residue map v -> (num, res): num = T * v[pivots] and
+    res = embed(num) - det * v, one matrix-vector product each. v lies in the
+    sublattice iff res is zero and det divides every entry of num, and its
+    coordinates are then num // det.
     """
 
     ambient_rank: int
@@ -425,20 +428,31 @@ class Sublattice:
     def is_full(self) -> bool:
         return self.rank == self.ambient_rank and abs(self._solver[0]) == 1
 
-    def coordinates(self, v: LatticeVector) -> Optional[tuple]:
-        """Coefficients of v in the basis rows, or None when v is not in the sublattice."""
+    def residue(self, v: LatticeVector) -> tuple:
+        """(num, res) of v, as int tuples; the map is linear in v."""
         if v.lattice != self.lattice:
             raise RankMismatch(
                 f"vector of {v.lattice!r} tested against a sublattice of {self.lattice!r}")
         if v.rank != self.ambient_rank:
             raise RankMismatch(f"rank mismatch: {v.rank} vs {self.ambient_rank}")
         det, pivots, solve, columns = self._solver
-        # Exact when v lies in the sublattice; otherwise no integer x embeds
-        # to v, so the floor division needs no divisibility test of its own.
         at_pivots = [v.coords[c] for c in pivots]
-        x = tuple(sum(map(operator.mul, at_pivots, col)) // det for col in solve)
-        embedded = tuple(sum(map(operator.mul, x, col)) for col in columns)
-        return x if embedded == v.coords else None
+        num = tuple(sum(map(operator.mul, at_pivots, col)) for col in solve)
+        return num, tuple(sum(map(operator.mul, num, col)) - det * x
+                          for col, x in zip(columns, v.coords))
+
+    def divide(self, num: Sequence[int]) -> Optional[tuple]:
+        """num // det, or None when det does not divide every entry."""
+        det = self._solver[0]
+        if any(n % det for n in num):
+            return None
+        return tuple(n // det for n in num)
+
+    def coordinates(self, v: LatticeVector) -> Optional[tuple]:
+        """Coefficients of v in the basis rows, or None when v is not in the
+        sublattice: divide(num) when res is zero."""
+        num, res = self.residue(v)
+        return None if any(res) else self.divide(num)
 
     def contains(self, v: LatticeVector) -> bool:
         return self.coordinates(v) is not None

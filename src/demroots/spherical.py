@@ -15,7 +15,7 @@ weight monoid spanning M, the type-T moving rule) is reported check by check by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -68,9 +68,12 @@ class Divisor:
 
 @dataclass(frozen=True)
 class SphericalDatum:
+    """A record; its hash is computed once, since records key the caches below."""
+
     root_system: RootSystem
     weight_lattice: Sublattice
     divisors: tuple
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "divisors", tuple(self.divisors))
@@ -92,6 +95,8 @@ class SphericalDatum:
             if bad:
                 raise DatumError(
                     f"divisor {d.name!r} moved by unknown simple roots {sorted(bad)}")
+        object.__setattr__(self, "_hash",
+                           hash((self.root_system, self.weight_lattice, self.divisors)))
 
     @property
     def rank(self) -> int:
@@ -104,6 +109,9 @@ class SphericalDatum:
     @property
     def g_stable_divisors(self) -> tuple:
         return tuple(d for d in self.divisors if not d.is_color())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def divisor(self, name: str) -> Divisor:
         for d in self.divisors:

@@ -163,6 +163,8 @@ class AlgebraElement:
         return AlgebraElement._collect(self.terms + other.terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + (-1) * other
 
     def __mul__(self, other):

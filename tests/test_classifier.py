@@ -1,12 +1,20 @@
-import pytest
+import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from demroots.catalog import CATALOG
 from demroots.classifier import (Classification, LndDescriptor, classify,
                                  congruent_summand_weights, lnd_basis,
                                  realizable_summand_weights)
-from demroots.lattice import DualVector, LatticeVector
-from demroots.spherical import ColorSubset, DatumError
+from demroots.lattice import DualVector, LatticeVector, Sublattice, smith_normal_form
+from demroots.rootsystems import nilradical_highest_weights, standard_root_system
+from demroots.spherical import (ColorSubset, DatumError, Divisor, SphericalDatum,
+                                levi_subset, slice_cone)
+from demroots.toric import demazure_ray
+
+from conftest import rational_rank
 
 ALL = ColorSubset()
 
@@ -151,3 +159,104 @@ class TestClassify:
                              ray=DualVector((7, 3), lattice="M"))
         with pytest.raises(DatumError):
             classify(d, ALL, desc)
+
+
+# ---------------------------------------------------------------------------
+# The per-chart table against the per-weight loop it replaced: coordinates of
+# each difference mu - alpha in M, then the chart cone's dual_contains.
+# ---------------------------------------------------------------------------
+
+def reference_summands(datum, subset, mu):
+    """(congruent, realizable) summand weights, one difference vector each."""
+    cone = slice_cone(datum, subset)
+    congruent, realizable = [], []
+    for a in nilradical_highest_weights(datum.root_system, levi_subset(datum)):
+        coords = datum.weight_lattice.coordinates(mu - a)
+        if coords is not None:
+            congruent.append(a)
+            if cone.dual_contains(LatticeVector(coords, lattice="M")):
+                realizable.append(a)
+    return tuple(congruent), tuple(realizable)
+
+
+def reference_basis(datum, subset, mu):
+    terms = [LndDescriptor(weight=mu, kind="unipotent", root=a)
+             for a in reference_summands(datum, subset, mu)[1]]
+    coords = datum.weight_lattice.coordinates(mu)
+    if coords is not None:
+        ray = demazure_ray(slice_cone(datum, subset), LatticeVector(coords, lattice="M"))
+        if ray is not None:
+            terms.append(LndDescriptor(weight=mu, kind="toric", ray=ray))
+    return tuple(terms)
+
+
+CARTAN_TYPES_UP_TO_RANK_6 = (
+    [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(3, 7)]
+    + [("E", 6), ("F", 4), ("G", 2)])
+
+
+def random_record(rng, letter, n):
+    """A record of the type padded by one or two central directions, with M of
+    rank 2-4 spanned by random rows, two G-stable divisors and two colors, one
+    of type T, whose valuation vectors lie in one orthant of M's dual."""
+    ambient = n + rng.randint(1, 2)
+    r = rng.randint(2, min(4, ambient))
+    rows = None
+    while rows is None or rational_rank(rows) < r:
+        rows = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(r)]
+    signs = [rng.choice((-1, 1)) for _ in range(r)]
+    kappas = set()
+    while len(kappas) < 4:
+        k = tuple(s * rng.randint(0, 3) for s in signs)
+        if any(k):
+            kappas.add(k)
+    g0, g1, t, c = (DualVector(k, lattice="M") for k in rng.sample(sorted(kappas), 4))
+    moved = rng.randrange(n)
+    divisors = (Divisor("g0", g0, "g-stable"), Divisor("g1", g1, "g-stable"),
+                Divisor("t", t, "color", "T", frozenset({moved})),
+                Divisor("c", c, "color", rng.choice("UNT"),
+                        frozenset({moved, rng.randrange(n)})))
+    return SphericalDatum(standard_root_system(letter, n, ambient),
+                          Sublattice(ambient, rows), divisors)
+
+
+def test_table_matches_the_per_weight_loop():
+    rng = random.Random(2112)
+    seen = Counter()
+    for letter, n in CARTAN_TYPES_UP_TO_RANK_6 * 8:
+        datum = random_record(rng, letter, n)
+        lattice = datum.weight_lattice
+        U, D, _ = smith_normal_form(lattice.basis_rows)
+        d = D[lattice.rank - 1][lattice.rank - 1]
+        seen["records"] += 1
+        seen["not saturated"] += d > 1
+        unit = (1,) + (0,) * (lattice.rank - 1)
+        seen["negative det"] += lattice.residue(lattice.embed(unit))[0][0] < 0
+        # U[-1] * rows = d * w: c * w is an integer vector off M for 0 < c < d
+        w = [x // d for x in lattice.embed(U[-1]).coords]
+        omega = nilradical_highest_weights(datum.root_system, levi_subset(datum))
+        for q in range(8):
+            x = tuple(rng.randint(-2, 2) for _ in range(lattice.rank))
+            mu = lattice.embed(x)
+            if q % 2 and omega:
+                mu = mu + rng.choice(omega)
+            if q % 4 == 3:
+                k = rng.randrange(lattice.ambient_rank)
+                mu = mu + LatticeVector(tuple(int(i == k) for i in range(len(w))), "X(T)")
+            elif q % 4 == 2 and d > 1:
+                mu = mu + LatticeVector(tuple(rng.randint(1, d - 1) * v for v in w), "X(T)")
+                seen["weights in QM off M"] += 1
+            seen["weights in M"] += lattice.contains(mu)
+            congruent = congruent_summand_weights(datum, mu)
+            for subset in (ColorSubset(), ColorSubset("t")):
+                want = reference_summands(datum, subset, mu)
+                assert congruent == want[0]
+                assert realizable_summand_weights(datum, subset, mu) == want[1]
+                basis = lnd_basis(datum, subset, mu)
+                assert basis == reference_basis(datum, subset, mu)
+                seen["realizable hits"] += len(want[1])
+                seen["toric terms"] += sum(b.kind == "toric" for b in basis)
+    assert seen["not saturated"] >= 50, seen
+    assert seen["realizable hits"] >= 50, seen
+    assert min(seen.values()) >= 20, seen

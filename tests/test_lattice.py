@@ -365,6 +365,37 @@ class TestSublattice:
         assert Sublattice(2, ((2, 0),)) != Sublattice(2, ((2, 0),), lattice="M")
         assert len({a, b, Sublattice(2, ((1, 1), (0, 1)))}) == 2
 
+    def test_residue_is_linear_and_exact_on_the_lattice(self):
+        # (num, res) of v + w is the sum of theirs, and an embedded point
+        # x * rows has num = det * x and res = 0.
+        rng = random.Random(19)
+        seen = Counter()
+        while seen["basis"] < 150:
+            rank = rng.randint(1, 4)
+            n = rng.randint(rank, 5)
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+            if rational_rank(B) < rank:
+                continue
+            sub = Sublattice(n, B)
+            seen["basis"] += 1
+            det = sub.residue(sub.embed((1,) + (0,) * (rank - 1)))[0][0]
+            seen["negative det"] += det < 0
+            u, w = (xt(*(rng.randint(-5, 5) for _ in range(n))) for _ in range(2))
+            (nu, ru), (nw, rw) = sub.residue(u), sub.residue(w)
+            assert sub.residue(u + w) == (tuple(a + b for a, b in zip(nu, nw)),
+                                         tuple(a + b for a, b in zip(ru, rw)))
+            x = tuple(rng.randint(-4, 4) for _ in range(rank))
+            assert sub.residue(sub.embed(x)) == (tuple(det * c for c in x), (0,) * n)
+            assert sub.divide(tuple(det * c for c in x)) == x
+            if abs(det) > 1:
+                assert sub.divide((det * x[0] + 1,) + tuple(det * c for c in x[1:])) is None
+                seen["det beyond 1"] += 1
+        assert min(seen.values()) >= 25, seen
+        with pytest.raises(RankMismatch):
+            sub.residue(LatticeVector((0,) * n, lattice="M"))
+        with pytest.raises(RankMismatch):
+            sub.residue(xt(*(0,) * (n + 1)))
+
     def test_random_bases_up_to_rank_5(self):
         # Seeded bases of rank 1-5 with entries in +-3, a fifth of them square
         # and unimodular; each meets three kinds of target, and a Fraction

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -84,6 +85,39 @@ class TestDatumShape:
         d = CATALOG["sl2-times-torus"]
         assert [c.name for c in d.colors] == ["line"]
         assert [g.name for g in d.g_stable_divisors] == ["axis"]
+
+
+class TestDatumHash:
+    def parts(self):
+        return (standard_root_system("A", 1, 2), Sublattice(2, ((2, 0), (1, 1))),
+                [color("c", (1, 0), "U", {0}), gstable("g", (0, 1))])
+
+    def test_equal_records_built_twice_hash_equal(self):
+        a, b = (SphericalDatum(*self.parts()) for _ in range(2))
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.root_system, a.weight_lattice, a.divisors))
+        assert slice_cone(a) is slice_cone(b)
+
+    def test_replace_rehashes(self):
+        d = SphericalDatum(*self.parts())
+        moved = dataclasses.replace(d, divisors=d.divisors[:1])
+        assert moved != d
+        assert hash(moved) == hash(SphericalDatum(d.root_system, d.weight_lattice,
+                                                  d.divisors[:1]))
+        same = dataclasses.replace(d)
+        assert same == d and hash(same) == hash(d)
+
+    def test_repr_and_equality_ignore_the_stored_hash(self):
+        rs, lattice, divisors = self.parts()
+        d = SphericalDatum(rs, lattice, divisors)
+        assert repr(d) == (f"SphericalDatum(root_system={rs!r}, "
+                           f"weight_lattice={lattice!r}, divisors={tuple(divisors)!r})")
+        assert [f.name for f in dataclasses.fields(d) if f.compare] == \
+            ["root_system", "weight_lattice", "divisors"]
+        other = SphericalDatum(rs, lattice, divisors)
+        object.__setattr__(other, "_hash", hash(d) + 1)
+        assert other == d
+        assert d != SphericalDatum(rs, Sublattice.full(2), divisors)
 
 
 class TestValidation:

@@ -222,7 +222,7 @@ class TestAlgebraElement:
     def test_sum_with_a_number_is_a_type_error(self):
         with pytest.raises(TypeError):
             monomial((1, 0)) + 0
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
             monomial((1, 0)) - 1
 
     def test_mixed_ranks_refused_at_entry(self):
