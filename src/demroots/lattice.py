@@ -109,13 +109,13 @@ def pairing(rho: DualVector, lam: LatticeVector) -> int:
         )
     if rho.rank != lam.rank:
         raise RankMismatch(f"rank mismatch: {rho.rank} vs {lam.rank}")
-    return sum(a * b for a, b in zip(rho.coords, lam.coords))
+    return sum(map(operator.mul, rho.coords, lam.coords))
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise RankMismatch(f"rank mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def lattice_points(rank: int, bound: int, ge=(), eq=()):

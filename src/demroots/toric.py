@@ -10,8 +10,10 @@ t gives a polynomial automorphism with binomial coefficients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional
 
 from .cones import Cone
@@ -134,12 +136,16 @@ class AlgebraElement:
 
     @classmethod
     def _collect(cls, pairs) -> "AlgebraElement":
-        """Sum the coefficients of equal weights, drop zero sums, sort by coords."""
-        acc = {}
-        for lam, c in pairs:
-            acc[lam] = acc[lam] + c if lam in acc else c
-        return cls(tuple(sorted(((lam, c) for lam, c in acc.items() if c),
-                                key=lambda t: t[0].coords)))
+        """Sort by coords, sum the coefficients of adjacent equal weights in one
+        pass and drop zero sums. No weight is hashed, and the stable sort merges
+        the two sorted runs of a sum in linear time."""
+        terms = []
+        for lam, c in sorted(pairs, key=lambda t: t[0].coords):
+            if terms and terms[-1][0].coords == lam.coords:
+                terms[-1] = (terms[-1][0], terms[-1][1] + c)
+            else:
+                terms.append((lam, c))
+        return cls(tuple(t for t in terms if t[1]))
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -171,21 +177,25 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             return AlgebraElement._collect((lam + mu, c * d) for lam, c in self.terms
                                            for mu, d in other.terms)
-        return self.scale(other)
+        if isinstance(other, Rational):  # a str or float is no scalar here
+            return self.scale(other)
+        return NotImplemented
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = __mul__
 
     def scale(self, c) -> "AlgebraElement":
+        """The element times c, parsed by Fraction (so "2" and 0.5 are accepted)."""
         c = Fraction(c)
         return AlgebraElement(tuple((lam, c * v) for lam, v in self.terms) if c else ())
 
 
 def monomial(lam, coefficient=1, lattice: str = "M") -> AlgebraElement:
-    """Single-term element with the given weight and coefficient."""
+    """Single-term element with the given weight and coefficient (anything
+    Fraction accepts), built directly: one term needs no collector."""
     if not isinstance(lam, LatticeVector):
         lam = LatticeVector(tuple(lam), lattice)
-    return AlgebraElement.from_dict({lam: coefficient})
+    coefficient = Fraction(coefficient)
+    return AlgebraElement(((lam, coefficient),) if coefficient else ())
 
 
 def check_supported(cone: Cone, element: AlgebraElement):
@@ -248,11 +258,15 @@ class FlowPolynomial:
         return AlgebraElement.zero()
 
     def __add__(self, other: "FlowPolynomial") -> "FlowPolynomial":
+        if not isinstance(other, FlowPolynomial):
+            return NotImplemented
         n = max(len(self.coefficients), len(other.coefficients))
         return FlowPolynomial(tuple(self.coefficient(k) + other.coefficient(k)
                                     for k in range(n)))
 
     def __mul__(self, other: "FlowPolynomial") -> "FlowPolynomial":
+        if not isinstance(other, FlowPolynomial):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return FlowPolynomial(())
         out = [AlgebraElement.zero()] * (len(self.coefficients) + len(other.coefficients) - 1)
@@ -286,7 +300,7 @@ def exponentiate(root: DemazureRoot, element: AlgebraElement,
             v = vectors.get(coords)
             if v is None:
                 v = vectors[coords] = LatticeVector._trusted(coords, lattice)
-            columns[k].append((v, Fraction(num, den)))
-            coords = tuple(a + b for a, b in zip(coords, mu))
+            columns[k].append((v, Fraction(num) if den == 1 else Fraction(num, den)))
+            coords = tuple(map(operator.add, coords, mu))
             num, den = num * (n - k) * p // (k + 1), den * q
     return FlowPolynomial(tuple(AlgebraElement(tuple(column)) for column in columns))

@@ -208,6 +208,23 @@ class TestAlgebraElement:
             assert as_reference(f * g) == reference((add(lam, mu), c * d)
                                                     for lam, c in rf.items()
                                                     for mu, d in rg.items())
+            # Cancellation in the adjacent sum: f + (-f); f - h with h on f's
+            # weights, half of them with f's own coefficient; and a product
+            # whose terms repeat weights along a dual ray, telescoping to zero
+            # in its interior.
+            assert (f + (-1) * f).is_zero()
+            rh = {lam: c if rnd.random() < 0.5 else c + 1 for lam, c in rf.items()}
+            rh.update(dict.fromkeys(dual_monoid_weights(rnd, cone, 2), Fraction(2)))
+            h = AlgebraElement.from_dict(rh)
+            assert as_reference(f - h) == reference([*rf.items(),
+                                                     *((lam, -c) for lam, c in rh.items())])
+            ray = rnd.choice(cone.dual_rays + cone.dual_lineality)
+            steps = [tuple(i * a for a in ray) for i in range(8)]
+            ladder = AlgebraElement.from_dict(dict.fromkeys(steps, 1))
+            step = AlgebraElement.from_dict({steps[0]: 1, steps[1]: -1})
+            assert as_reference(ladder * step) == {steps[0]: 1, tuple(8 * a for a in ray): -1}
+            assert as_reference(ladder * ladder) == reference(
+                (add(lam, mu), 1) for lam in steps for mu in steps)
             for k in (0, -1, Fraction(3, 2)):
                 assert as_reference(f.scale(k)) == reference((lam, k * c)
                                                              for lam, c in rf.items())
@@ -224,6 +241,46 @@ class TestAlgebraElement:
             monomial((1, 0)) + 0
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
             monomial((1, 0)) - 1
+
+    def test_scalar_must_be_rational(self):
+        """* takes elements and exact rationals only; scale() still parses."""
+        f = monomial((1, 0), 3)
+        for bad in ("2", 0.1):
+            with pytest.raises(TypeError):
+                f * bad
+            with pytest.raises(TypeError):
+                bad * f
+        assert f * 2 == 2 * f == Fraction(2) * f == monomial((1, 0), 6)
+        assert True * f == f
+        assert f.scale("2") == monomial((1, 0), 6)
+        assert f.scale(0.5) == monomial((1, 0), Fraction(3, 2))
+
+    def test_terms_contract_and_no_weight_hash(self, monkeypatch):
+        """+, -, *, the derivation, exponentiate and the flow product never
+        hash a weight, and their terms are what perfbench and the CLI read:
+        LatticeVector weights of the element's lattice, strictly increasing
+        by coords, with nonzero Fraction coefficients."""
+        rnd = random.Random(17)
+        cone, _ = random_pointed_cone(rnd, 3, max_gens=5, entry=3, min_rank=3)
+        root = rnd.choice(enumerate_demazure_roots(cone, 2))
+        f, g = (AlgebraElement.from_dict(
+            {lv(*w): Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+             for w in dual_monoid_weights(rnd, cone, 8)}) for _ in range(2))
+
+        def unhashable(self):
+            raise AssertionError("a weight was hashed")
+
+        monkeypatch.setattr(LatticeVector, "__hash__", unhashable)
+        flow = exponentiate(root, f, Fraction(3, 2))
+        elements = [f + g, f - g, f * g, 2 * f, apply_derivation(root, f),
+                    *flow.coefficients, *(flow * exponentiate(root, g)).coefficients]
+        assert all(not e.is_zero() for e in elements[:3])
+        for e in elements:
+            coords = [lam.coords for lam, _ in e.terms]
+            assert all(a < b for a, b in zip(coords, coords[1:])), coords
+            assert all(type(lam) is LatticeVector and lam.lattice == "M"
+                       and lam.rank == 3 for lam, _ in e.terms)
+            assert all(type(c) is Fraction and c for _, c in e.terms)
 
     def test_mixed_ranks_refused_at_entry(self):
         with pytest.raises(RankMismatch):
@@ -410,6 +467,13 @@ class TestFlowPolynomial:
     def test_trailing_zeros_stripped(self):
         p = FlowPolynomial((monomial(lv(1, 0)), AlgebraElement.zero()))
         assert p.degree() == 0
+
+    def test_arithmetic_with_a_non_polynomial_is_a_type_error(self):
+        p = FlowPolynomial.constant(monomial(lv(1, 0)))
+        for op in (lambda: p + 1, lambda: 1 + p, lambda: p * 2, lambda: 2 * p,
+                   lambda: p * monomial(lv(1, 0))):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                op()
 
     def test_product_degree(self):
         p = FlowPolynomial((monomial(lv(1, 0)), monomial(lv(0, 1))))
