@@ -2,8 +2,9 @@
 
 ``build_cone`` takes generators in the dual lattice N and describes the dual
 cone once, on its quotient by the lineality: one fraction-free elimination of
-the halfspaces gives their rank and an independent subset, the Smith form of
-the lineality basis gives a section that lifts the quotient back, and a pointed
+the halfspaces gives their rank and an independent subset, one column echelon
+form of them, when their rank is short, gives the lineality basis, a section
+that lifts the quotient back and the halfspaces on the quotient, and a pointed
 double description starts from the simplicial cone of the independent
 halfspaces and uses the combinatorial adjacency test (Fukuda and Prodon 1996)
 on bitmasks of active halves, after the rank condition on their count.
@@ -32,13 +33,12 @@ from .lattice import (
     RankMismatch,
     Sublattice,
     _bareiss,
+    _echelon,
     _transform,
     dot,
     integer_kernel,
     matrix_rank,
     primitive_tuple,
-    smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -61,24 +61,25 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     """The cone {y : <f, y> >= 0} on its quotient by the lineality, as
     (units, section, rows, rays).
 
-    units is integer_kernel's basis of the lineality, in its order. With V
-    from the Smith form of the units, the rows of V^-1 past the units are the
-    section, which lifts quotient coordinates back (see _lift). rows are the
-    distinct primitive halves in quotient coordinates, and rays the sorted
-    primitive extreme rays of the pointed cone they cut out: the simplicial
-    cone of independent rows takes the others one at a time, each ray
-    carrying the bitmask of the processed rows vanishing on it.
+    rows are the distinct primitive halves in quotient coordinates, and rays
+    the sorted primitive extreme rays of the pointed cone they cut out: the
+    simplicial cone of independent rows takes the others one at a time, each
+    ray carrying the bitmask of the processed rows vanishing on it. When the
+    halves have rank r below the rank, one _echelon of the halves, H = A * U,
+    gives the rest: the units, a basis of the lineality, are U's columns r..,
+    the section, which lifts quotient coordinates back (see _lift), is its
+    first r columns, and rows are the first r entries of H's rows.
     """
     halves = list(dict.fromkeys(primitive_tuple(f) for f in functionals if any(f)))
     pivots = [r for r, _, _ in _bareiss(halves)[1]]
-    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    units, section = [], identity
+    units, rows = (), halves
+    section = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     if len(pivots) < rank:
-        units = integer_kernel(halves, rank)
-        section = unimodular_inverse(smith_normal_form(units)[2])[len(units):] if pivots else ()
-    # Every half vanishes on the units, so the projection keeps the relations
-    # among them: the pivot rows stay independent in quotient coordinates.
-    rows = [tuple(dot(f, s) for s in section) for f in halves] if units else halves
+        H, U, r = _echelon(halves, rank)
+        units, section = tuple(map(tuple, U[r:])), tuple(map(tuple, U[:r]))
+        # Every half vanishes on the units, so the rows keep the relations
+        # among the halves: the pivot rows stay independent.
+        rows = list(zip(*H[:r]))
 
     # _transform on P^T, P the pivot rows, gives rows T_c with
     # <P_j, T_c> = det * [j == c]: det * T_c spans the ray where all but P_c vanish.
@@ -109,7 +110,7 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
                 vec = tuple(pa * y - qa * x for x, y in zip(p[0], q[0]))
                 new_rays.append((primitive_tuple(vec), common | bit))
         rays = new_rays
-    return tuple(units), section, tuple(rows), tuple(sorted(y for y, _ in rays))
+    return units, section, tuple(rows), tuple(sorted(y for y, _ in rays))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact integer lattice arithmetic: tagged vectors, pairings, Smith normal form.
+"""Exact integer lattice arithmetic: tagged vectors, pairings, echelon forms.
 
 Everything here is plain ``int`` arithmetic (arbitrary precision); no floats are
 used anywhere in the package. Vectors carry the name of the lattice they live in
@@ -6,9 +6,11 @@ so that a functional on one lattice can never be paired against a vector of
 another by accident.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, leading
-principal minors, and, run on a matrix beside an identity block, inverses of
-unimodular matrices and the coordinates of a vector in a sublattice basis; the
-Smith normal form gives integer kernels.
+principal minors, and, run on a matrix beside an identity block, the
+coordinates of a vector in a sublattice basis. One column echelon form by
+Euclid steps, which carries its unimodular transform, does every unimodular
+job: integer kernels, the split of a cone's lineality, and, alternated with
+its run on the transpose, the Smith normal form.
 """
 
 from __future__ import annotations
@@ -213,12 +215,42 @@ def primitive(v):
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices (lists of row tuples) and Smith normal form.
+# Integer matrices (lists of row tuples): echelon and Smith forms, elimination.
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _echelon(matrix: Sequence[Sequence[int]], n: int, start=None):
+    """Column echelon form of an integer matrix with rows of length n, by
+    Euclid steps one row at a time, as (H, U, r) with A * U = H, H and U given
+    by their columns (lists).
+
+    Row by row, the column of least nonzero entry among columns r.. is swapped
+    to r and reduces the others, until only column r is nonzero there; then r
+    moves on. Columns r.. of H are zero and the first r are independent, so
+    U's columns r.. are a basis of the saturated integer kernel, and its first
+    r columns complete it to a basis of Z^n. start, the columns of a
+    transform to continue, takes the column steps in place of the identity.
+    """
+    rows = [_as_int_tuple(row) for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise ValueError("row length does not match n")
+    H = [list(column) for column in zip(*rows)] if rows else [[] for _ in range(n)]
+    U = [list(column) for column in start] if start is not None else [
+        [int(i == j) for i in range(n)] for j in range(n)]
+    r = 0
+    for i in range(len(rows)):
+        while live := [j for j in range(r, n) if H[j][i]]:
+            p = min(live, key=lambda j: abs(H[j][i]))  # ties keep column r
+            H[r], H[p], U[r], U[p] = H[p], H[r], U[p], U[r]
+            if len(live) == 1:
+                r += 1
+                break
+            h, u, a = H[r], U[r], H[r][i]
+            for j in range(r + 1, n):
+                if q := H[j][i] // a:
+                    H[j] = [x - q * y for x, y in zip(H[j], h)]
+                    U[j] = [x - q * y for x, y in zip(U[j], u)]
+    return H, U, r
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
@@ -226,88 +258,30 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
     U (m x m) and V (n x n) are unimodular; D is diagonal with nonnegative
     entries d_1 | d_2 | ... . Matrices are returned as tuples of row tuples.
+    Column echelon passes alternate with row passes (column passes on the
+    transpose), each continuing its transform, until the matrix is diagonal;
+    then the signs are fixed, and while some d_i does not divide a later d_j,
+    row j is added to row i and the passes resume.
     """
-    A = [list(_as_int_tuple(row)) for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
-        raise ValueError("ragged matrix")
-    U = _identity(m)
-    V = _identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+    A = [tuple(row) for row in matrix]  # _echelon checks the entries and lengths
+    m, n = len(A), len(A[0]) if A else 0
+    U = V = None  # the rows of U, the columns of V
+    while True:
+        columns, V, _ = _echelon(A, n, V)
+        A, U, _ = _echelon(columns, m, U)
+        if any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
+            continue
+        for i in range(min(m, n)):
+            if A[i][i] < 0:
+                A[i], U[i] = [-x for x in A[i]], [-x for x in U[i]]
+        bad = next(((i, j) for i in range(min(m, n)) for j in range(i + 1, min(m, n))
+                    if A[i][i] and A[j][j] % A[i][i]), None)
+        if bad is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-            rem = [i for i in range(t + 1, m) if A[i][t]]
-            if rem:
-                i = min(rem, key=lambda k: (abs(A[k][t]), k))
-                swap_rows(t, i)
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
-            rem = [j for j in range(t + 1, n) if A[t][j]]
-            if rem:
-                j = min(rem, key=lambda k: (abs(A[t][k]), k))
-                swap_cols(t, j)
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(bad, t, 1)
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    to_t = lambda M: tuple(tuple(row) for row in M)
-    return to_t(U), to_t(A), to_t(V)
+        i, j = bad
+        A[i] = [x + y for x, y in zip(A[i], A[j])]
+        U[i] = [x + y for x, y in zip(U[i], U[j])]
+    return tuple(map(tuple, U)), tuple(map(tuple, A)), tuple(zip(*V))
 
 
 def matrix_rank(matrix) -> int:
@@ -315,32 +289,11 @@ def matrix_rank(matrix) -> int:
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int):
-    """Basis of {v in Z^n : <row, v> = 0 for every row}, as a list of tuples.
-
-    The basis spans a saturated sublattice (it is the full integer kernel).
-    """
-    rows = [tuple(r) for r in rows if any(r)]
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length does not match n")
-    _, D, V = smith_normal_form(rows)
-    m = len(rows)
-    nonzero = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    basis = []
-    for j in range(nonzero, n):
-        basis.append(tuple(V[i][j] for i in range(n)))
-    return basis
-
-
-def unimodular_inverse(matrix: Sequence[Sequence[int]]):
-    """Inverse of a unimodular integer matrix, as integer row tuples."""
-    det, transform = _transform(matrix, len(matrix))
-    if list(transform) != list(range(len(matrix))):
-        raise ValueError("matrix is singular")
-    if abs(det) != 1:
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(det * v for v in row) for row in transform.values())
+    """Basis of {v in Z^n : <row, v> = 0 for every row}, as a list of tuples:
+    the trailing columns of _echelon's transform, which span the full
+    (saturated) integer kernel."""
+    _, U, r = _echelon(rows, n)
+    return [tuple(u) for u in U[r:]]
 
 
 def _transform(matrix, width: int):

@@ -21,8 +21,7 @@ from demroots.cones import (ContainsLine, _dual_v_representation, _monoid_basis,
                             _parallelepiped, _pointed_hilbert_basis, _pulling_triangulation,
                             build_cone, dual_monoid)
 from demroots.datumio import parse_datum
-from demroots.lattice import (DualVector, integer_kernel, matrix_rank, primitive_tuple,
-                              smith_normal_form, unimodular_inverse)
+from demroots.lattice import DualVector, matrix_rank
 from demroots.spherical import validate, weight_monoid
 
 from conftest import dot, rational_rank, verify_hilbert_basis
@@ -30,17 +29,11 @@ from conftest import dot, rational_rank, verify_hilbert_basis
 
 def _reference_basis(functionals, rank):
     halves = [tuple(f) for f in functionals if any(f)]
-    units = integer_kernel(halves, rank)
+    units, section, _, rays = _dual_v_representation(halves, rank)
     basis = sorted({v for u in units for v in (u, tuple(-x for x in u))})
     k = len(units)
     if k == rank:
         return basis
-    if k:
-        _, _, V = smith_normal_form(units)
-        section = unimodular_inverse(V)[k:]
-        columns = [tuple(V[i][j] for i in range(rank)) for j in range(k, rank)]
-    else:
-        section = columns = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
 
     def lift(y):
         return tuple(sum(c * s[j] for c, s in zip(y, section)) for j in range(rank))
@@ -48,12 +41,7 @@ def _reference_basis(functionals, rank):
     def member(y):
         return all(dot(f, lift(y)) >= 0 for f in halves)
 
-    _, dd_section, _, dd_rays = _dual_v_representation(halves, rank)
-    rays = [tuple(sum(c * s[j] for c, s in zip(y, dd_section)) for j in range(rank))
-            for y in dd_rays]
-    gens = sorted({primitive_tuple(p) for p in
-                   (tuple(dot(r, c) for c in columns) for r in rays) if any(p)})
-    box = [range(sum(min(0, g[j]) for g in gens), sum(max(0, g[j]) for g in gens) + 1)
+    box = [range(sum(min(0, g[j]) for g in rays), sum(max(0, g[j]) for g in rays) + 1)
            for j in range(rank - k)]
     candidates = [p for p in product(*box) if any(p) and member(p)]
     for x in candidates:

@@ -4,12 +4,11 @@ from collections import Counter
 
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from demroots.lattice import (DualVector, LatticeVector, RankMismatch, Sublattice,
                               content, integer_kernel, matrix_rank,
-                              pairing, primitive, primitive_tuple, smith_normal_form,
-                              unimodular_inverse)
+                              pairing, primitive, primitive_tuple, smith_normal_form)
 from demroots.toric import monomial
 
 from conftest import rational_rank
@@ -208,6 +207,30 @@ def matrices(max_dim=4):
                 min_size=m, max_size=m)))
 
 
+def seeded_matrices(seed, count):
+    """count matrices up to 8 x 8 with entries in +-99: every other one with a
+    zero row and a zero column, every third a product through a narrower
+    matrix, so rank-deficient."""
+    rng = random.Random(seed)
+    found = []
+    for k in range(count):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if k % 3 == 0 and min(m, n) > 1:
+            w = rng.randint(1, min(m, n) - 1)
+            L = [[rng.randint(-3, 3) for _ in range(w)] for _ in range(m)]
+            R = [[rng.randint(-(33 // w), 33 // w) for _ in range(n)] for _ in range(w)]
+            A = matmul(L, R)
+        else:
+            A = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)]
+        if k % 2:
+            i, j = rng.randrange(m), rng.randrange(n)
+            A[i] = [0] * n
+            for row in A:
+                row[j] = 0
+        found.append(A)
+    return found
+
+
 class TestSmithNormalForm:
     def test_frozen_diagonal(self):
         U, D, V = smith_normal_form([[2, 0], [0, 3]])
@@ -223,6 +246,7 @@ class TestSmithNormalForm:
         assert abs(det(U)) == 1
         assert abs(det(V)) == 1
         diag = [D[i][i] for i in range(min(m, n))]
+        assert diag[0] == content(x for row in A for x in row)
         assert all(d >= 0 for d in diag)
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -234,6 +258,10 @@ class TestSmithNormalForm:
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
+
+    for A in seeded_matrices(24, 40):  # explicit examples, run besides the drawn ones
+        test_transform_identity = example(A)(test_transform_identity)
+    del A
 
     def test_matrix_rank(self):
         assert matrix_rank([[1, 2], [2, 4]]) == 1
@@ -257,6 +285,14 @@ class TestKernelAndSolve:
     def test_kernel_empty_rows(self):
         basis = integer_kernel([], 2)
         assert sorted(basis) == [(0, 1), (1, 0)]
+
+    def test_kernel_checks_every_row(self):
+        # zero rows are checked too: neither is a matrix with rows of length 2
+        for rows in ([[0, 0, 0]], [[1, 0], [0, 0, 0]]):
+            with pytest.raises(ValueError, match="row length"):
+                integer_kernel(rows, 2)
+        with pytest.raises(TypeError):
+            integer_kernel([[0.0, 0]], 2)
 
     def test_kernel_saturated(self):
         # kernel of (2, 4) must contain the primitive (2, -1), not just (4, -2)
@@ -286,30 +322,6 @@ class TestKernelAndSolve:
         sub = Sublattice(len(B[0]), B)
         x = tuple(xs[:len(B)])
         assert sub.coordinates(sub.embed(x)) == x
-
-
-class TestUnimodularInverse:
-    def test_round_trip(self):
-        M = [[2, 1], [1, 1]]
-        inv = unimodular_inverse(M)
-        assert matmul([list(r) for r in inv], M) == [[1, 0], [0, 1]]
-
-    @settings(max_examples=80, deadline=None)
-    @given(matrices(5))
-    def test_round_trip_on_smith_transforms(self, A):
-        _, _, V = smith_normal_form(A)
-        inv = unimodular_inverse(V)
-        identity = [[int(i == j) for j in range(len(V))] for i in range(len(V))]
-        assert matmul([list(r) for r in inv], [list(r) for r in V]) == identity
-        assert matmul([list(r) for r in V], [list(r) for r in inv]) == identity
-
-    def test_singular(self):
-        with pytest.raises(ValueError, match="singular"):
-            unimodular_inverse([[1, 2], [2, 4]])
-
-    def test_not_unimodular(self):
-        with pytest.raises(ValueError, match="not unimodular"):
-            unimodular_inverse([[2, 0], [0, 1]])
 
 
 class TestSublattice:
