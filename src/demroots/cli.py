@@ -136,6 +136,8 @@ def _parse_cone(text: str):
     if not gens:
         raise ValueError("--cone needs at least one generator")
     rank = len(gens[0])
+    if any(len(g) != rank for g in gens):
+        raise ValueError(f"--cone generator needs {rank} coordinates")
     return build_cone([DualVector(g, lattice="M") for g in gens], rank=rank)
 
 
@@ -243,6 +245,8 @@ def _cmd_exp(args) -> int:
     from .toric import AlgebraElement, demazure_root, exponentiate
     cone = _parse_cone(args.cone)
     mu = LatticeVector(_csv_ints(args.root, "--root"), lattice="M")
+    if mu.rank != cone.rank:
+        raise ValueError(f"--root needs {cone.rank} coordinates")
     root = demazure_root(cone, mu)
     element = AlgebraElement.zero()
     for term in args.term:

@@ -30,10 +30,12 @@ from typing import Optional, Sequence
 from .lattice import (
     DualVector,
     LatticeVector,
-    RankMismatch,
     Sublattice,
     _bareiss,
     _echelon,
+    _lift,
+    _require,
+    _require_sublattice,
     _transform,
     dot,
     integer_kernel,
@@ -49,12 +51,6 @@ class ContainsLine(ValueError):
         self.line = DualVector(line, lattice)
         super().__init__(
             f"cone is not strictly convex: it contains the line through {tuple(line)}")
-
-
-def _lift(section: Sequence[tuple], vectors) -> list:
-    """Quotient coordinates y to the ambient vectors sum_i y_i * section_i."""
-    columns = list(zip(*section))
-    return [tuple(dot(y, c) for c in columns) for y in vectors]
 
 
 def _dual_v_representation(functionals: Sequence[tuple], rank: int):
@@ -135,19 +131,12 @@ class Cone:
     _quotient: tuple = field(default=None, compare=False, repr=False)
 
     def contains(self, v: DualVector) -> bool:
-        if v.lattice != self.lattice:
-            raise RankMismatch(f"vector of {v.lattice!r} tested against a cone over {self.lattice!r}")
-        if v.rank != self.rank:
-            raise RankMismatch(f"rank mismatch: {v.rank} vs {self.rank}")
+        _require(v, DualVector, self.lattice, self.rank)
         return all(dot(n.coords, v.coords) >= 0 for n in self.facet_normals)
 
     def dual_contains(self, lam: LatticeVector) -> bool:
         """True iff lam lies in the dual cone, i.e. <x, lam> >= 0 for all x in the cone."""
-        if lam.lattice != self.lattice:
-            raise RankMismatch(
-                f"vector of {lam.lattice!r} tested against a cone over {self.lattice!r}")
-        if lam.rank != self.rank:
-            raise RankMismatch(f"rank mismatch: {lam.rank} vs {self.rank}")
+        _require(lam, LatticeVector, self.lattice, self.rank)
         return all(dot(g.coords, lam.coords) >= 0 for g in self.generators)
 
 
@@ -160,26 +149,14 @@ def build_cone(generators: Sequence[DualVector], rank: Optional[int] = None,
     empty generator list (rank must then be given).
     """
     gens = tuple(generators)
-    if gens:
-        tags = {g.lattice for g in gens}
-        ranks = {g.rank for g in gens}
-        if len(tags) > 1:
-            raise RankMismatch(f"generators from several lattices: {sorted(tags)}")
-        if len(ranks) > 1:
-            raise RankMismatch(f"generators of several ranks: {sorted(ranks)}")
-        if lattice is None:
-            lattice = gens[0].lattice
-        elif lattice != gens[0].lattice:
-            raise RankMismatch(f"generators live in {gens[0].lattice!r}, not {lattice!r}")
-        if rank is None:
-            rank = gens[0].rank
-        elif rank != gens[0].rank:
-            raise RankMismatch(f"generators have rank {gens[0].rank}, not {rank}")
-    else:
-        if rank is None:
-            raise ValueError("an empty generator list needs an explicit rank")
-        if lattice is None:
-            lattice = "M"
+    if not gens and rank is None:
+        raise ValueError("an empty generator list needs an explicit rank")
+    if lattice is None:
+        lattice = gens[0].lattice if gens else "M"
+    if rank is None:
+        rank = gens[0].rank
+    for g in gens:
+        _require(g, DualVector, lattice, rank)
 
     functionals = [g.coords for g in gens if not g.is_zero()]
     quotient = _dual_v_representation(functionals, rank)
@@ -211,10 +188,8 @@ def build_cone(generators: Sequence[DualVector], rank: Optional[int] = None,
 
 def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
     """True iff v is a nonnegative rational multiple of rho (both nonzero)."""
-    if v.lattice != rho.lattice:
-        raise RankMismatch(f"vectors on different lattices: {v.lattice!r} vs {rho.lattice!r}")
-    if v.rank != rho.rank:
-        raise RankMismatch(f"rank mismatch: {v.rank} vs {rho.rank}")
+    _require(v, DualVector, rho.lattice, len(rho.coords))
+    _require(rho, DualVector, v.lattice, len(v.coords))
     if v.is_zero() or rho.is_zero():
         raise ValueError("ray membership needs nonzero vectors")
     return primitive_tuple(v.coords) == primitive_tuple(rho.coords)
@@ -346,13 +321,8 @@ def dual_monoid(cone: Cone, sublattice: Optional[Sublattice] = None) -> WeightMo
         basis = _monoid_basis(cone._quotient)
         return WeightMonoid(cone, tuple(LatticeVector(v, cone.lattice) for v in basis))
 
-    if sublattice.ambient_rank != cone.rank:
-        raise RankMismatch(
-            f"sublattice ambient rank {sublattice.ambient_rank} does not match cone rank {cone.rank}")
-    if sublattice.lattice != cone.lattice:
-        raise RankMismatch(
-            f"sublattice of {sublattice.lattice!r} does not match a cone over {cone.lattice!r}")
+    _require_sublattice(sublattice, cone.lattice, cone.rank)
     pulled = [tuple(dot(row, g.coords) for row in sublattice.basis_rows) for g in cone.generators]
     basis = _monoid_basis(_dual_v_representation(pulled, sublattice.rank))
-    embedded = sorted(sublattice.embed(y).coords for y in basis)
+    embedded = sorted(_lift(sublattice.basis_rows, basis))
     return WeightMonoid(cone, tuple(LatticeVector(v, cone.lattice) for v in embedded), sublattice)

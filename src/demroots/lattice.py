@@ -1,9 +1,11 @@
 """Exact integer lattice arithmetic: tagged vectors, pairings, echelon forms.
 
 Everything here is plain ``int`` arithmetic (arbitrary precision); no floats are
-used anywhere in the package. Vectors carry the name of the lattice they live in
-so that a functional on one lattice can never be paired against a vector of
-another by accident.
+used anywhere in the package. Vectors carry their side of the pairing (a
+LatticeVector in M, a DualVector in N) and the name of their lattice. One
+check, _require, stands behind every function that takes a vector: the wrong
+side raises TypeError, and another lattice or rank raises RankMismatch, which
+no other module raises.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination gives ranks, leading
 principal minors, and, run on a matrix beside an identity block, the
@@ -30,6 +32,24 @@ def _as_int_tuple(coords) -> tuple:
     if any(isinstance(c, bool) for c in coords):
         raise TypeError("vector coordinates must be integers")
     return tuple(map(operator.index, coords))
+
+
+def _require(v, cls, lattice: str, rank: int) -> None:
+    """Raise TypeError unless v is a cls, and RankMismatch unless it lives in
+    the named lattice and has the given rank. Allocates nothing unless it raises."""
+    if not isinstance(v, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(v).__name__}")
+    if v.lattice != lattice:
+        raise RankMismatch(f"vectors live in different lattices: {v.lattice!r} vs {lattice!r}")
+    if len(v.coords) != rank:
+        raise RankMismatch(f"rank mismatch: {len(v.coords)} vs {rank}")
+
+
+def _require_sublattice(sub, lattice: str, rank: int) -> None:
+    """Raise RankMismatch unless the Sublattice sub lies in a cone's lattice and rank."""
+    if sub.lattice != lattice or sub.ambient_rank != rank:
+        raise RankMismatch(f"a sublattice of {sub.lattice!r} of rank {sub.ambient_rank} "
+                           f"does not match a cone over {lattice!r} of rank {rank}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +83,7 @@ class _Vector:
         return all(c == 0 for c in self.coords)
 
     def _check(self, other):
-        if self.lattice != other.lattice:
-            raise RankMismatch(
-                f"vectors live in different lattices: {self.lattice!r} vs {other.lattice!r}"
-            )
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch(
-                f"rank mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
+        _require(other, type(self), self.lattice, len(self.coords))
 
     def __add__(self, other):
         self._check(other)
@@ -103,14 +116,8 @@ class DualVector(_Vector):
 
 def pairing(rho: DualVector, lam: LatticeVector) -> int:
     """<rho, lambda>: the integer value of the functional rho on lambda."""
-    if not isinstance(rho, DualVector) or not isinstance(lam, LatticeVector):
-        raise TypeError("pairing takes (DualVector, LatticeVector)")
-    if rho.lattice != lam.lattice:
-        raise RankMismatch(
-            f"cannot pair a functional on {rho.lattice!r} with a vector of {lam.lattice!r}"
-        )
-    if rho.rank != lam.rank:
-        raise RankMismatch(f"rank mismatch: {rho.rank} vs {lam.rank}")
+    _require(rho, DualVector, lam.lattice, len(lam.coords))
+    _require(lam, LatticeVector, rho.lattice, len(rho.coords))
     return sum(map(operator.mul, rho.coords, lam.coords))
 
 
@@ -285,7 +292,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
 
 def matrix_rank(matrix) -> int:
-    return len(_bareiss([row for row in matrix if any(row)])[1])
+    return len(_bareiss([row for row in map(_as_int_tuple, matrix) if any(row)])[1])
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int):
@@ -294,6 +301,12 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int):
     (saturated) integer kernel."""
     _, U, r = _echelon(rows, n)
     return [tuple(u) for u in U[r:]]
+
+
+def _lift(rows: Sequence[tuple], vectors) -> list:
+    """The int tuples sum_i y_i * rows_i, one for each coefficient tuple y."""
+    columns = list(zip(*rows))
+    return [tuple(dot(y, c) for c in columns) for y in vectors]
 
 
 def _transform(matrix, width: int):
@@ -383,11 +396,7 @@ class Sublattice:
 
     def residue(self, v: LatticeVector) -> tuple:
         """(num, res) of v, as int tuples; the map is linear in v."""
-        if v.lattice != self.lattice:
-            raise RankMismatch(
-                f"vector of {v.lattice!r} tested against a sublattice of {self.lattice!r}")
-        if v.rank != self.ambient_rank:
-            raise RankMismatch(f"rank mismatch: {v.rank} vs {self.ambient_rank}")
+        _require(v, LatticeVector, self.lattice, self.ambient_rank)
         det, pivots, solve, columns = self._solver
         at_pivots = [v.coords[c] for c in pivots]
         num = tuple(sum(map(operator.mul, at_pivots, col)) for col in solve)
@@ -414,8 +423,5 @@ class Sublattice:
         """The ambient vector sum_i coeffs[i] * basis_rows[i]."""
         if len(coeffs) != self.rank:
             raise RankMismatch(f"expected {self.rank} coefficients, got {len(coeffs)}")
-        coords = [0] * self.ambient_rank
-        for c, row in zip(coeffs, self.basis_rows):
-            for j in range(self.ambient_rank):
-                coords[j] += c * row[j]
-        return LatticeVector(tuple(coords), self.lattice)
+        coords = _lift(self.basis_rows, [coeffs])[0] if coeffs else (0,) * self.ambient_rank
+        return LatticeVector(coords, self.lattice)

@@ -17,8 +17,8 @@ from numbers import Rational
 from typing import Optional
 
 from .cones import Cone
-from .lattice import DualVector, LatticeVector, RankMismatch, Sublattice, box_points, \
-    lattice_points, pairing
+from .lattice import DualVector, LatticeVector, Sublattice, _require, _require_sublattice, \
+    box_points, dot, lattice_points, pairing
 
 
 def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
@@ -27,11 +27,10 @@ def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
     All other extremal rays must pair nonnegatively. At most one ray can
     qualify: two rays pairing to -1 would each violate the other's constraint.
     """
-    if mu.rank != cone.rank or mu.lattice != cone.lattice:
-        raise RankMismatch("weight does not match the cone's lattice")
+    _require(mu, LatticeVector, cone.lattice, cone.rank)
     found = None
-    for rho in cone.extremal_rays:
-        value = pairing(rho, mu)
+    for rho in cone.extremal_rays:  # checked against the cone when it was built
+        value = dot(rho.coords, mu.coords)
         if value == -1:
             if found is not None:
                 return None
@@ -95,8 +94,8 @@ def enumerate_demazure_roots(cone: Cone, bound: int,
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if sublattice is not None and sublattice.ambient_rank != cone.rank:
-        raise RankMismatch("sublattice ambient rank does not match the cone")
+    if sublattice is not None:
+        _require_sublattice(sublattice, cone.lattice, cone.rank)
     lo, hi = [-bound] * cone.rank, [bound] * cone.rank
     roots = ((rho, LatticeVector(coords, cone.lattice)) for rho in cone.extremal_rays
              for coords in box_points(lo, hi, _root_rows(cone, rho)))

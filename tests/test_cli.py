@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
 from conftest import run_cli
+
+from demroots.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SL2C = str(DATA / "sl2-times-torus.json")
@@ -101,6 +104,16 @@ class TestNoTraceback:
                        "--term", "x:2,1", expect=1)
         assert_one_error(proc, "--term coefficient must be an integer or a fraction "
                                "like 3/2, got 'x'")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["roots", "--cone", "1,0;1,2,3"], "--cone generator needs 2 coordinates"),
+        (["exp", "--cone", "1,0;0,1", "--root=-1,0,0", "--term", "2,1"],
+         "--root needs 2 coordinates"),
+    ])
+    def test_argument_widths_checked_in_process(self, capsys, argv, text):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {text}"] and not captured.out
 
     def test_deeply_nested_json(self, tmp_path):
         p = tmp_path / "deep.json"

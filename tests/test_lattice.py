@@ -126,6 +126,8 @@ class TestVectors:
         lambda: LatticeVector((1, 2)) * 0.5,
         lambda: monomial((0.9, 1)),
         lambda: smith_normal_form([[1.5, 2]]),
+        lambda: matrix_rank([[0.5, 1], [1, 3]]),  # the rank is 2, not 1
+        lambda: matrix_rank([[True, 0], [0, 1]]),
         lambda: Sublattice(2, ((1.5, 0),)),
     ])
     def test_non_integers_rejected(self, make):
