@@ -9,12 +9,12 @@ the formal summand derivation delta_alpha; these factors are recorded
 symbolically, since evaluating delta_alpha needs the variety itself rather
 than its record.
 
-What a weight query needs of the record alone is built once per (record,
-chart): the chart cone's generators and each summand highest weight alpha
-with its residue in M (``Sublattice.residue``). Since the residue map is
-linear, mu - alpha lies in M iff the residues of mu and alpha agree and the
-lattice's det divides the difference of their numerators; the quotient is
-the coordinate vector the generators test. No difference vector is built.
+A weight query reads the record's cached ``spherical.Chart``: its cone, and
+its table of each summand highest weight alpha with its residue in M
+(``Sublattice.residue``). Since the residue map is linear, mu - alpha lies in
+M iff the residues of mu and alpha agree and the lattice's det divides the
+difference of their numerators; the quotient is the coordinate vector the
+cone's generators test. No difference vector is built.
 
 Geometric reading: a derivation with only unipotent terms integrates to a
 subgroup fixing every B-stable divisor class off the chart (vertical); a
@@ -28,14 +28,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from .cones import on_nonnegative_ray
 from .lattice import LatticeVector, DualVector
-from .rootsystems import nilradical_highest_weights
-from .spherical import (_CACHED_DATA, ColorSubset, DatumError, SphericalDatum, levi_subset,
-                        slice_cone)
+from .spherical import Chart, ColorSubset, DatumError, SphericalDatum, chart
 from .toric import demazure_ray
 
 VERTICAL = "vertical"
@@ -84,7 +80,7 @@ class Classification:
 def congruent_summand_weights(datum: SphericalDatum, mu: LatticeVector) -> tuple:
     """Nilradical summand highest weights alpha with mu - alpha in M."""
     _check_weight(datum, mu)
-    return _summands(datum, None, *datum.weight_lattice.residue(mu))
+    return _summands(chart(datum, ColorSubset()), *datum.weight_lattice.residue(mu), False)
 
 
 def realizable_summand_weights(datum: SphericalDatum, subset: ColorSubset,
@@ -94,50 +90,36 @@ def realizable_summand_weights(datum: SphericalDatum, subset: ColorSubset,
     mu - alpha must pair nonnegatively with every valuation vector of the
     chart's divisors, so that f_{mu - alpha} is a regular function there.
     """
-    _chart_table(datum, subset)  # a bad chart is reported before a bad weight
+    c = chart(datum, subset)  # a bad chart is reported before a bad weight
     _check_weight(datum, mu)
-    return _summands(datum, subset, *datum.weight_lattice.residue(mu))
+    return _summands(c, *datum.weight_lattice.residue(mu), True)
 
 
 def lnd_basis(datum: SphericalDatum, subset: ColorSubset, mu: LatticeVector) -> tuple:
     """Basis of the B-normalized locally nilpotent derivations of weight mu."""
     _check_weight(datum, mu)
+    c = chart(datum, subset)
     num, res = datum.weight_lattice.residue(mu)
     terms = [LndDescriptor(weight=mu, kind="unipotent", root=a)
-             for a in _summands(datum, subset, num, res)]
+             for a in _summands(c, num, res, True)]
     coords = None if any(res) else datum.weight_lattice.divide(num)
     if coords is not None:
-        ray = demazure_ray(slice_cone(datum, subset), LatticeVector(coords, lattice="M"))
+        ray = demazure_ray(c.cone, LatticeVector(coords, lattice="M"))
         if ray is not None:
             terms.append(LndDescriptor(weight=mu, kind="toric", ray=ray))
     return tuple(terms)
 
 
-@lru_cache(maxsize=_CACHED_DATA)
-def _chart_table(datum: SphericalDatum, subset: Optional[ColorSubset]) -> tuple:
-    """The chart cone's generators as int tuples (None, and no cone built, for
-    subset None) and each summand highest weight with its residue in M."""
-    gens = None
-    if subset is not None:
-        gens = tuple(g.coords for g in slice_cone(datum, subset).generators)
-    omega = nilradical_highest_weights(datum.root_system, levi_subset(datum))
-    return gens, tuple((a, *datum.weight_lattice.residue(a)) for a in omega)
-
-
-def _summands(datum: SphericalDatum, subset: Optional[ColorSubset],
-              num: tuple, res: tuple) -> tuple:
-    """The summand weights alpha with mu - alpha in M, mu of residue (num, res),
-    and in the chart's weight cone unless subset is None."""
-    gens, summands = _chart_table(datum, subset)
+def _summands(c: Chart, num: tuple, res: tuple, in_cone: bool) -> tuple:
+    """The summand weights alpha of the chart's table with mu - alpha in M, mu
+    of residue (num, res), and in the chart's weight cone when in_cone."""
+    lattice = c.datum.weight_lattice
+    gens = c.cone.generators if in_cone else ()
     out = []
-    for a, num_a, res_a in summands:
-        if res_a != res:
-            continue
-        coords = datum.weight_lattice.divide([x - y for x, y in zip(num, num_a)])
-        if coords is None or gens is not None and any(
-                sum(map(operator.mul, g, coords)) < 0 for g in gens):
-            continue
-        out.append(a)
+    for a, num_a, res_a in c.summands:
+        coords = lattice.divide([x - y for x, y in zip(num, num_a)]) if res_a == res else None
+        if coords is not None and all(sum(map(operator.mul, g.coords, coords)) >= 0 for g in gens):
+            out.append(a)
     return tuple(out)
 
 
@@ -147,13 +129,7 @@ def classify(datum: SphericalDatum, subset: ColorSubset,
     if descriptor.kind == "unipotent":
         return Classification(verdict=VERTICAL)
 
-    ray = descriptor.ray
-    movers = []
-    for d in subset.complement(datum):
-        if d.kappa.is_zero():
-            continue
-        if on_nonnegative_ray(d.kappa, ray):
-            movers.append(d)
+    movers = chart(datum, subset).on_ray(descriptor.ray)
     if not movers:
         raise DatumError(
             "the descriptor's ray carries no divisor valuation of this chart")

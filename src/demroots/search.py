@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import on_nonnegative_ray
 from .lattice import DualVector, LatticeVector, lattice_points, primitive
-from .spherical import ColorSubset, SphericalDatum, full_cone, slice_cone
+from .spherical import ColorSubset, SphericalDatum, chart
 from .toric import ray_root_points
 
 HOLDS = "holds"
@@ -76,17 +75,14 @@ def check_divisor_ray(datum: SphericalDatum, name: str) -> RayCheck:
         return RayCheck(
             divisor=name, status=FAILS,
             reason="the divisor's valuation vector is zero, so it spans no ray")
-    cone = full_cone(datum)
+    full = chart(datum, None)
     rho = primitive(d.kappa)
-    if rho not in cone.extremal_rays:
+    if rho not in full.cone.extremal_rays:
         return RayCheck(
             divisor=name, status=FAILS, ray=rho,
             reason="the valuation vector does not span an extremal ray of the "
                    "valuation vector cone")
-    sharing = tuple(
-        o.name for o in datum.divisors
-        if o.name != name and not o.kappa.is_zero()
-        and on_nonnegative_ray(o.kappa, rho))
+    sharing = tuple(o.name for o in full.on_ray(rho) if o.name != name)
     if sharing:
         return RayCheck(
             divisor=name, status=FAILS, ray=rho, sharing=sharing,
@@ -98,8 +94,8 @@ def check_divisor_ray(datum: SphericalDatum, name: str) -> RayCheck:
 def _minimal_shift(datum, subset, rho, bound):
     """Coordinates of the smallest nonzero lam vanishing on rho, in the weight
     monoid, and pairing at least 1 with every removed color."""
-    ge = [(g.coords, 0) for g in full_cone(datum).generators]
-    ge += [(c.kappa.coords, 1) for c in subset.resolve(datum)]
+    ge = [(g.coords, 0) for g in chart(datum, None).cone.generators]
+    ge += [(c.kappa.coords, 1) for c in chart(datum, subset).removed]
     points = lattice_points(datum.rank, bound, ge=ge, eq=[(rho.coords, 0)])
     return next((x for x in points if any(x)), None)
 
@@ -114,10 +110,9 @@ def find_witness(datum: SphericalDatum, name: str,
 
     d = datum.divisor(name)
     subset = ColorSubset(None if not d.is_color() else name)
-    chart_cone = slice_cone(datum, subset)
     rho = check.ray
 
-    mu = next(ray_root_points(chart_cone, rho, search_bound), None)
+    mu = next(ray_root_points(chart(datum, subset).cone, rho, search_bound), None)
     if mu is None:
         return MoveReport(divisor=name, check=check, status=INCONCLUSIVE,
                           searched=("demazure root", 0, search_bound))

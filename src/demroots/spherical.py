@@ -11,23 +11,28 @@ Well-formedness that is structural (field shapes, index ranges) is enforced at
 construction; semantic validation (strict convexity of the valuation cone, the
 weight monoid spanning M, the type-T moving rule) is reported check by check by
 ``validate`` with witnesses instead of exceptions.
+
+What is built from a record alone is built once per open chart: ``chart``
+caches one ``Chart`` per (record, color subset), whose cone, weight monoid,
+Levi and summand table are each built on first use and read by the functions
+``full_cone``, ``weight_monoid``, ``levi_subset``, ``slice_cone``, ``slice_monoid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .cones import Cone, ContainsLine, WeightMonoid, build_cone, dual_monoid
+from .cones import Cone, ContainsLine, WeightMonoid, build_cone, dual_monoid, on_nonnegative_ray
 from .lattice import DualVector, Sublattice
-from .rootsystems import RootSystem
+from .rootsystems import RootSystem, nilradical_highest_weights
 
 COLOR = "color"
 G_STABLE = "g-stable"
 COLOR_TYPES = ("U", "T", "N")
 
-_CACHED_DATA = 64  # records whose cones and monoids stay cached
+_CACHED_DATA = 64  # (record, color subset) charts that stay cached
 
 
 class DatumError(ValueError):
@@ -68,7 +73,7 @@ class Divisor:
 
 @dataclass(frozen=True)
 class SphericalDatum:
-    """A record; its hash is computed once, since records key the caches below."""
+    """A record; its hash is computed once, since records key the chart cache below."""
 
     root_system: RootSystem
     weight_lattice: Sublattice
@@ -131,24 +136,6 @@ class ColorSubset:
 
     excluded_color: Optional[str] = None
 
-    def resolve(self, datum: SphericalDatum) -> tuple:
-        """The colors in the subset, in datum order."""
-        if self.excluded_color is None:
-            return datum.colors
-        d = datum.divisor(self.excluded_color)
-        if not d.is_color():
-            raise DatumError(f"{d.name!r} is G-stable, not a color")
-        if d.color_type != "T":
-            raise DatumError(
-                f"only a type-T color can be excluded; {d.name!r} has type {d.color_type}")
-        return tuple(c for c in datum.colors if c.name != d.name)
-
-    def complement(self, datum: SphericalDatum) -> tuple:
-        """The divisors of the open chart: G-stable ones plus the excluded color."""
-        excluded = set(c.name for c in self.resolve(datum))
-        return tuple(d for d in datum.divisors
-                     if not d.is_color() or d.name not in excluded)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -203,52 +190,87 @@ def validate(datum: SphericalDatum) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+@dataclass(frozen=True)
+class Chart:
+    """The open chart of a record left when the colors ``removed`` are taken
+    away: its divisors are the record's others, in record order. Its cone,
+    weight monoid, Levi and summand table are each built on first use."""
+
+    datum: SphericalDatum
+    removed: tuple
+    divisors: tuple
+
+    @cached_property
+    def cone(self) -> Cone:
+        return build_cone([d.kappa for d in self.divisors], rank=self.datum.rank, lattice="M")
+
+    @cached_property
+    def monoid(self) -> WeightMonoid:
+        return dual_monoid(self.cone)
+
+    @cached_property
+    def levi(self) -> frozenset:
+        """Simple roots moving no removed color: the Levi of the chart stabilizer.
+        It must equal the Levi of all colors, which the type-T moving rule ensures."""
+        roots = frozenset(range(self.datum.root_system.semisimple_rank))
+        result = roots.difference(*(c.moved_by for c in self.removed))
+        if result != roots.difference(*(c.moved_by for c in self.datum.colors)):
+            raise DatumError("excluding the color changes the chart stabilizer; "
+                             "the record violates the type-T moving rule")
+        return result
+
+    @cached_property
+    def summands(self) -> tuple:
+        """Each nilradical summand highest weight of the Levi with its residue in M."""
+        omega = nilradical_highest_weights(self.datum.root_system, self.levi)
+        return tuple((a, *self.datum.weight_lattice.residue(a)) for a in omega)
+
+    def on_ray(self, rho: DualVector) -> tuple:
+        """The chart's divisors whose nonzero valuation vector lies on the ray of rho."""
+        return tuple(d for d in self.divisors
+                     if not d.kappa.is_zero() and on_nonnegative_ray(d.kappa, rho))
+
+
 @lru_cache(maxsize=_CACHED_DATA)
+def chart(datum: SphericalDatum, subset: Optional[ColorSubset]) -> Chart:
+    """The chart removing the colors of subset, or keeping every divisor for
+    None; a subset that removes no color gives that same full chart."""
+    if subset is None:
+        return Chart(datum, (), datum.divisors)
+    removed = datum.colors
+    if subset.excluded_color is not None:
+        kept = datum.divisor(subset.excluded_color)
+        if not kept.is_color():
+            raise DatumError(f"{kept.name!r} is G-stable, not a color")
+        if kept.color_type != "T":
+            raise DatumError(
+                f"only a type-T color can be excluded; {kept.name!r} has type {kept.color_type}")
+        removed = tuple(c for c in removed if c is not kept)
+    if not removed:
+        return chart(datum, None)
+    return Chart(datum, removed, tuple(d for d in datum.divisors if d not in removed))
+
+
 def full_cone(datum: SphericalDatum) -> Cone:
     """The cone spanned by the valuation vectors of all B-stable divisors."""
-    return build_cone([d.kappa for d in datum.divisors], rank=datum.rank, lattice="M")
+    return chart(datum, None).cone
 
 
-@lru_cache(maxsize=_CACHED_DATA)
 def weight_monoid(datum: SphericalDatum) -> WeightMonoid:
     """Hilbert basis of the weights with nonnegative order along every divisor."""
-    return dual_monoid(full_cone(datum))
+    return chart(datum, None).monoid
 
 
 def levi_subset(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> frozenset:
-    """Simple roots moving no color of the subset: the Levi of the chart stabilizer.
-
-    For the admissible subsets this equals the Levi computed from all colors; a
-    discrepancy means the record violates the type-T moving rule and is
-    reported as a data error.
-    """
-    chosen = subset.resolve(datum)
-    n = datum.root_system.semisimple_rank
-    moved = set()
-    for c in chosen:
-        moved |= c.moved_by
-    result = frozenset(range(n)) - moved
-    moved_all = set()
-    for c in datum.colors:
-        moved_all |= c.moved_by
-    if result != frozenset(range(n)) - moved_all:
-        raise DatumError(
-            "excluding the color changes the chart stabilizer; "
-            "the record violates the type-T moving rule")
-    return result
+    """Simple roots moving no color of the subset (``Chart.levi``)."""
+    return chart(datum, subset).levi
 
 
-@lru_cache(maxsize=_CACHED_DATA)
 def slice_cone(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> Cone:
-    """Cone of valuation vectors of the divisors remaining on the open chart;
-    the full cone itself when the chart keeps every divisor."""
-    kept = subset.complement(datum)
-    if len(kept) == len(datum.divisors):
-        return full_cone(datum)
-    return build_cone([d.kappa for d in kept], rank=datum.rank, lattice="M")
+    """Cone of valuation vectors of the divisors remaining on the open chart."""
+    return chart(datum, subset).cone
 
 
-@lru_cache(maxsize=_CACHED_DATA)
 def slice_monoid(datum: SphericalDatum, subset: ColorSubset = ColorSubset()) -> WeightMonoid:
     """Weight monoid of the chart's toric slice: Hilbert basis of its dual cone."""
-    return dual_monoid(slice_cone(datum, subset))
+    return chart(datum, subset).monoid

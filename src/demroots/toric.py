@@ -127,8 +127,7 @@ class AlgebraElement:
         anything Fraction accepts; a weight given both ways is one weight. All
         weights must share one lattice and rank.
         """
-        pairs = [(lam if isinstance(lam, LatticeVector) else LatticeVector(tuple(lam)),
-                  Fraction(c)) for lam, c in mapping.items()]
+        pairs = [(_weight(lam, "M"), Fraction(c)) for lam, c in mapping.items()]
         for lam, _ in pairs[1:]:
             pairs[0][0]._check(lam)
         return cls._collect(pairs)
@@ -191,10 +190,17 @@ class AlgebraElement:
 def monomial(lam, coefficient=1, lattice: str = "M") -> AlgebraElement:
     """Single-term element with the given weight and coefficient (anything
     Fraction accepts), built directly: one term needs no collector."""
-    if not isinstance(lam, LatticeVector):
-        lam = LatticeVector(tuple(lam), lattice)
+    lam = _weight(lam, lattice)
     coefficient = Fraction(coefficient)
     return AlgebraElement(((lam, coefficient),) if coefficient else ())
+
+
+def _weight(lam, lattice: str) -> LatticeVector:
+    """lam if it is a vector, which must be a LatticeVector, else an int tuple read in lattice."""
+    if isinstance(lam, (LatticeVector, DualVector)):
+        _require(lam, LatticeVector, lam.lattice, lam.rank)
+        return lam
+    return LatticeVector(tuple(lam), lattice)
 
 
 def check_supported(cone: Cone, element: AlgebraElement):

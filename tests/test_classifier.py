@@ -65,6 +65,21 @@ class TestSummandWeights:
         with pytest.raises(DatumError):
             congruent_summand_weights(d, xt(0))
 
+    def test_chart_levi_is_the_one_levi_read(self):
+        # Excluding the lone type-T color d changes the chart stabilizer. The
+        # summand table of that chart reads that chart's Levi, so the Levi,
+        # the basis and the realizable weights all refuse the record alike.
+        bad = SphericalDatum(root_system=standard_root_system("A", 1),
+                             weight_lattice=Sublattice.full(1),
+                             divisors=(Divisor("d", DualVector((1,), "M"), "color", "T",
+                                               frozenset({0})),))
+        chart = ColorSubset("d")
+        for call in (lambda: levi_subset(bad, chart),
+                     lambda: lnd_basis(bad, chart, xt(2)),
+                     lambda: realizable_summand_weights(bad, chart, xt(2))):
+            with pytest.raises(DatumError, match="changes the chart stabilizer"):
+                call()
+
 
 class TestLndBasis:
     def test_toric_only(self):

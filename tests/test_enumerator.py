@@ -15,7 +15,7 @@ from demroots.cones import ContainsLine
 from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, box_points, lattice_points
 from demroots.search import _minimal_shift
-from demroots.spherical import ColorSubset, full_cone
+from demroots.spherical import ColorSubset, chart, full_cone
 from demroots.toric import enumerate_demazure_roots, ray_root_points
 
 from conftest import demazure_box_oracle, dot, random_pointed_cone
@@ -182,7 +182,7 @@ def test_minimal_shift_matches_box_scan():
         bound = SCAN_BOUND[rank]
         subsets = [ColorSubset()] + [ColorSubset(c.name) for c in datum.colors]
         for subset in subsets:
-            removed = [c.kappa.coords for c in subset.resolve(datum)]
+            removed = [c.kappa.coords for c in chart(datum, subset).removed]
             rho = tuple(rnd.randint(-2, 2) for _ in range(rank))
 
             def is_shift(lam):

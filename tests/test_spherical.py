@@ -7,7 +7,7 @@ from demroots.catalog import CATALOG, example
 from demroots.lattice import DualVector, LatticeVector, Sublattice, smith_normal_form
 from demroots.rootsystems import standard_root_system, torus_root_system
 from demroots.spherical import (ColorSubset, DatumError, Divisor, SphericalDatum,
-                                full_cone, levi_subset, slice_cone, slice_monoid,
+                                chart, full_cone, levi_subset, slice_cone, slice_monoid,
                                 validate, weight_monoid)
 
 from conftest import random_pointed_cone
@@ -183,29 +183,30 @@ class TestValidation:
 class TestColorSubset:
     def test_default_keeps_all(self):
         d = CATALOG["sl2-times-torus"]
-        assert [c.name for c in ColorSubset().resolve(d)] == ["line"]
-        assert [x.name for x in ColorSubset().complement(d)] == ["axis"]
+        assert [c.name for c in chart(d, ColorSubset()).removed] == ["line"]
+        assert [x.name for x in chart(d, ColorSubset()).divisors] == ["axis"]
 
     def test_exclude_t_color(self):
         d = CATALOG["blurring-pair"]
         sub = ColorSubset("tcol")
-        assert [c.name for c in sub.resolve(d)] == ["ucol"]
-        assert [x.name for x in sub.complement(d)] == ["tcol"]
+        assert [c.name for c in chart(d, sub).removed] == ["ucol"]
+        assert [x.name for x in chart(d, sub).divisors] == ["tcol"]
 
     def test_exclude_u_color_rejected(self):
         d = CATALOG["blurring-pair"]
-        with pytest.raises(DatumError):
-            ColorSubset("ucol").resolve(d)
+        with pytest.raises(DatumError,
+                           match="only a type-T color can be excluded; 'ucol' has type U"):
+            chart(d, ColorSubset("ucol"))
 
     def test_exclude_g_stable_rejected(self):
         d = CATALOG["sl2-times-torus"]
-        with pytest.raises(DatumError):
-            ColorSubset("axis").resolve(d)
+        with pytest.raises(DatumError, match="'axis' is G-stable, not a color"):
+            chart(d, ColorSubset("axis"))
 
     def test_exclude_unknown_rejected(self):
         d = CATALOG["sl2-times-torus"]
-        with pytest.raises(DatumError):
-            ColorSubset("nothing").resolve(d)
+        with pytest.raises(DatumError, match="no divisor named 'nothing'"):
+            chart(d, ColorSubset("nothing"))
 
 
 class TestConesAndMonoids:
@@ -238,9 +239,8 @@ class TestConesAndMonoids:
         assert c.extremal_rays == ()
 
     def test_slice_cone_is_the_full_cone_when_the_chart_keeps_every_divisor(self):
-        # Other tests may have evicted one cache but not the other.
-        full_cone.cache_clear()
-        slice_cone.cache_clear()
+        # Other tests may have evicted the full chart but not a colour chart.
+        chart.cache_clear()
         d = CATALOG["torus-quadrant"]
         assert slice_cone(d, ColorSubset()) is full_cone(d)
         # Excluding the only color keeps every divisor on the chart too.

@@ -87,3 +87,15 @@ def test_rank_mismatch_raised_only_in_lattice():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("lattice.py")  # the check is there, so the scan sees it
     assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("call", [lambda v: AlgebraElement.from_dict({v: 1}),
+                                  lambda v: AlgebraElement.from_dict({(1, 0): 1, v: 2}),
+                                  monomial],
+                         ids=["from_dict", "from_dict second weight", "monomial"])
+def test_weight_from_the_wrong_side_is_named(call):
+    """A DualVector weight is refused by the one check, which names both
+    classes; an int tuple is still read as a weight in M."""
+    with pytest.raises(TypeError, match="expected a LatticeVector, got DualVector"):
+        call(DualVector((1, 0)))
+    assert call((1, 1)).support[-1] == LatticeVector((1, 1))
