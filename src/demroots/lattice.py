@@ -1,4 +1,5 @@
-"""Exact integer lattice arithmetic: tagged vectors, pairings, echelon forms.
+"""Exact integer lattice arithmetic: tagged vectors, pairings, echelon forms,
+and Polyhedron, whose one walk lists the lattice points of a system of rows.
 
 Everything here is plain ``int`` arithmetic (arbitrary precision); no floats are
 used anywhere in the package. Vectors carry their side of the pairing (a
@@ -127,76 +128,85 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def lattice_points(rank: int, bound: int, ge=(), eq=()):
-    """Points x of Z^rank (rank >= 1) with a.x >= b for (a, b) in ge, c.x = d
-    for (c, d) in eq and sup-norm at most bound, as int tuples in (sup-norm,
-    1-norm, lex) order.
-
-    Shells of equal sup-norm come out in turn, one walk of the box [-s, s]^rank
-    per shell s that keeps only the points with some coordinate at +-s, so a
-    caller that stops at its first point pays for the shells up to it, and a
-    search without a hit costs about one box. Each coordinate's range is cut
-    to the interval that keeps every row satisfiable.
-    """
+def _require_bound(bound: int) -> None:
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    rows = [(tuple(a), b) for a, b in ge]
-    rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
-    for s in range(bound + 1):
-        hits = []
-        _walk(rows, [-s] * rank, [s] * rank, hits, surface=s > 0)
-        hits.sort(key=lambda x: (sum(map(abs, x)), x))
-        yield from hits
 
 
-def box_points(lo: Sequence[int], hi: Sequence[int], ge=()) -> list:
-    """Points x of Z^n (n >= 1) with lo <= x <= hi and a.x >= b for (a, b) in
-    ge, as int tuples in lex order; ranges are cut as in lattice_points."""
-    hits = []
-    _walk([(tuple(a), b) for a, b in ge], list(lo), list(hi), hits)
-    return hits
+@dataclass(frozen=True)
+class Polyhedron:
+    """The points x of Z^rank (rank >= 1) with a.x >= b for (a, b) in ge and
+    c.x = d for (c, d) in eq. The rows are built once, each equation as the
+    pair c.x >= d, -c.x >= -d, whose two cuts at a coordinate are exactly the
+    equation's; one walk of a cube [-s, s]^rank lists the points."""
 
+    rank: int
+    ge: Sequence = ()
+    eq: Sequence = ()
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
-def _walk(rows, lo, hi, hits, surface=False):
-    """Append to hits, in lex order, each point of the box lo <= x <= hi that
-    satisfies every row a.x >= b; with surface, only the points of the box's
-    surface, where some coordinate is at one of its ends (lo < hi assumed)."""
-    if any(b > 0 for a, b in rows if not any(a)):
-        return
-    rank = len(lo)
-    active = [[] for _ in range(rank)]  # (row, a[k], max of a[k+1:].x[k+1:])
-    for r, (a, _) in enumerate(rows):
-        rest = 0
-        for k in reversed(range(rank)):
-            if a[k]:
-                active[k].append((r, a[k], rest))
-            rest += a[k] * (hi[k] if a[k] > 0 else lo[k])
-    need = [b for _, b in rows]  # what each row still needs from the free coordinates
-    x = [0] * rank
+    def __post_init__(self):
+        rows = [(tuple(a), b) for a, b in self.ge]
+        rows += [row for c, d in self.eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
+        if any(len(a) != self.rank for a, _ in rows):
+            raise RankMismatch(f"rank mismatch: every row must have length {self.rank}")
+        object.__setattr__(self, "_rows", tuple(rows))
 
-    def walk(k, inside):
-        # inside: with surface, x[:k] has no end value, so x[k:] must have one
-        low, high = lo[k], hi[k]
-        for r, a, rest in active[k]:  # a * x[k] >= need[r] - rest
-            if a > 0:
-                low = max(low, -((rest - need[r]) // a))
-            else:
-                high = min(high, (need[r] - rest) // a)
-        if k == rank - 1:
-            for v in (lo[k], hi[k]) if inside else range(low, high + 1):
-                if low <= v <= high:
-                    x[k] = v
-                    hits.append(tuple(x))
-            return
-        for v in range(low, high + 1):
-            x[k] = v
-            for r, a, _ in active[k]:
-                need[r] -= a * v
-            walk(k + 1, inside and lo[k] < v < hi[k])
-            for r, a, _ in active[k]:
-                need[r] += a * v
+    def points(self, bound: int):
+        """The points of sup-norm at most bound in (sup-norm, 1-norm, lex) order, one
+        shell at a time, so a caller that stops early pays for the shells up to there."""
+        _require_bound(bound)
+        for s in range(bound + 1):
+            yield from self._walk(s, shell=s > 0)
 
-    walk(0, surface)
+    def cube(self, bound: int) -> list:
+        """The points of [-bound, bound]^rank, as int tuples in lex order."""
+        _require_bound(bound)
+        return self._walk(bound)
+
+    def _walk(self, s: int, shell: bool = False) -> list:
+        """The points of [-s, s]^rank in lex order, each coordinate's range cut
+        to the interval that keeps every row satisfiable; with shell (s > 0),
+        only those of sup-norm s, walking the surface, in (1-norm, lex) order."""
+        rows, rank = self._rows, self.rank
+        if any(b > 0 for a, b in rows if not any(a)):
+            return []
+        active = [[] for _ in range(rank)]  # (row, a[k], max of a[k+1:].x[k+1:])
+        for r, (a, _) in enumerate(rows):
+            rest = 0
+            for k in reversed(range(rank)):
+                if a[k]:
+                    active[k].append((r, a[k], rest))
+                rest += abs(a[k]) * s
+        need = [b for _, b in rows]  # what each row still needs from the free coordinates
+        x, hits = [0] * rank, []
+
+        def walk(k, inside):
+            # inside: with shell, x[:k] has no entry +-s, so x[k:] must have one
+            low, high = -s, s
+            for r, a, rest in active[k]:  # a * x[k] >= need[r] - rest
+                if a > 0:
+                    low = max(low, -((rest - need[r]) // a))
+                else:
+                    high = min(high, (need[r] - rest) // a)
+            if k == rank - 1:
+                for v in (-s, s) if inside else range(low, high + 1):
+                    if low <= v <= high:
+                        x[k] = v
+                        hits.append(tuple(x))
+                return
+            for v in range(low, high + 1):
+                x[k] = v
+                for r, a, _ in active[k]:
+                    need[r] -= a * v
+                walk(k + 1, inside and -s < v < s)
+                for r, a, _ in active[k]:
+                    need[r] += a * v
+
+        walk(0, shell)
+        if shell:
+            hits.sort(key=lambda x: (sum(map(abs, x)), x))
+        return hits
 
 
 def content(coords: Iterable[int]) -> int:

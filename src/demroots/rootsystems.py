@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .lattice import DualVector, LatticeVector, _bareiss, matrix_rank, pairing
+from .lattice import DualVector, LatticeVector, _bareiss, _require, matrix_rank, pairing
 
 
 def cartan_matrix_of_type(letter: str, rank: int):
@@ -148,11 +148,9 @@ def root_system(simple_roots: Sequence[LatticeVector],
         raise ValueError("need as many simple coroots as simple roots")
     n = len(roots)
     for v in roots:
-        if v.rank != ambient_rank or v.lattice != "X(T)":
-            raise ValueError("simple roots must be X(T) vectors of the ambient rank")
+        _require(v, LatticeVector, "X(T)", ambient_rank)
     for v in coroots:
-        if v.rank != ambient_rank or v.lattice != "X(T)":
-            raise ValueError("simple coroots must be X(T) functionals of the ambient rank")
+        _require(v, DualVector, "X(T)", ambient_rank)
     A = [[pairing(cv, a) for a in roots] for cv in coroots]
     _, pivots = _bareiss(A)
     if len(pivots) < n:  # A = C R^T, so a nonsingular A proves both independent

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import DualVector, LatticeVector, lattice_points, primitive
+from .lattice import DualVector, LatticeVector, Polyhedron, primitive
 from .spherical import ColorSubset, SphericalDatum, chart
-from .toric import ray_root_points
+from .toric import root_polyhedron
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -96,7 +96,7 @@ def _minimal_shift(datum, subset, rho, bound):
     monoid, and pairing at least 1 with every removed color."""
     ge = [(g.coords, 0) for g in chart(datum, None).cone.generators]
     ge += [(c.kappa.coords, 1) for c in chart(datum, subset).removed]
-    points = lattice_points(datum.rank, bound, ge=ge, eq=[(rho.coords, 0)])
+    points = Polyhedron(datum.rank, ge, eq=[(rho.coords, 0)]).points(bound)
     return next((x for x in points if any(x)), None)
 
 
@@ -112,7 +112,7 @@ def find_witness(datum: SphericalDatum, name: str,
     subset = ColorSubset(None if not d.is_color() else name)
     rho = check.ray
 
-    mu = next(ray_root_points(chart(datum, subset).cone, rho, search_bound), None)
+    mu = next(root_polyhedron(chart(datum, subset).cone, rho).points(search_bound), None)
     if mu is None:
         return MoveReport(divisor=name, check=check, status=INCONCLUSIVE,
                           searched=("demazure root", 0, search_bound))

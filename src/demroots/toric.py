@@ -17,8 +17,8 @@ from numbers import Rational
 from typing import Optional
 
 from .cones import Cone
-from .lattice import DualVector, LatticeVector, Sublattice, _require, _require_sublattice, \
-    box_points, dot, lattice_points, pairing
+from .lattice import DualVector, LatticeVector, Polyhedron, Sublattice, _require, \
+    _require_bound, _require_sublattice, dot, pairing
 
 
 def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
@@ -73,17 +73,10 @@ def demazure_root(cone: Cone, mu: LatticeVector) -> DemazureRoot:
     return DemazureRoot._on_ray(mu, rho, cone)
 
 
-def _root_rows(cone: Cone, rho: DualVector) -> list:
-    """Rows (a, b), meaning a.mu >= b, of the roots pinning the extremal ray
-    rho: <rho, mu> = -1 as two rows, and >= 0 on the other rays."""
+def root_polyhedron(cone: Cone, rho: DualVector) -> Polyhedron:
+    """The roots mu pinning the extremal ray rho: <rho, mu> = -1, >= 0 on the other rays."""
     others = [(r.coords, 0) for r in cone.extremal_rays if r != rho]
-    return [(rho.coords, -1), ((-rho).coords, 1)] + others
-
-
-def ray_root_points(cone: Cone, rho: DualVector, bound: int):
-    """Coordinates of the roots pinning the extremal ray rho, sup-norm <= bound,
-    in (sup-norm, 1-norm, lex) order."""
-    return lattice_points(cone.rank, bound, ge=_root_rows(cone, rho))
+    return Polyhedron(cone.rank, ge=others, eq=[(rho.coords, -1)])
 
 
 def enumerate_demazure_roots(cone: Cone, bound: int,
@@ -92,13 +85,11 @@ def enumerate_demazure_roots(cone: Cone, bound: int,
 
     With a sublattice, only roots lying in it are kept.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _require_bound(bound)  # here too, as a cone without rays builds no polyhedron
     if sublattice is not None:
         _require_sublattice(sublattice, cone.lattice, cone.rank)
-    lo, hi = [-bound] * cone.rank, [bound] * cone.rank
     roots = ((rho, LatticeVector(coords, cone.lattice)) for rho in cone.extremal_rays
-             for coords in box_points(lo, hi, _root_rows(cone, rho)))
+             for coords in root_polyhedron(cone, rho).cube(bound))
     return tuple(DemazureRoot._on_ray(mu, rho, cone) for rho, mu in roots
                  if sublattice is None or sublattice.contains(mu))
 

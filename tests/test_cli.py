@@ -209,6 +209,11 @@ class TestRoots:
         proc = run_cli("roots", "--cone", "1,0;-1,0", expect=1)
         assert "error:" in proc.stderr
 
+    def test_negative_bound(self):
+        proc = run_cli("roots", "--cone", "1,0;1,2", "--bound", "-1", expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: bound must be nonnegative, got -1"]
+
 
 class TestExp:
     def test_binomial(self):

@@ -1,8 +1,9 @@
-"""The lattice-point enumerators against box scans from definitions.
+"""The one lattice-point walk, Polyhedron, against box scans from definitions.
 
 Each oracle here scans the whole box [-bound, bound]^rank, keeps the points
 that satisfy the defining conditions and orders them by (sup-norm, 1-norm,
-lex); none of them uses the enumerator or the library's root machinery.
+lex) for Polyhedron.points or lex for Polyhedron.cube; none of them uses the
+walk or the library's root machinery.
 """
 
 import json
@@ -13,10 +14,10 @@ import pytest
 
 from demroots.cones import ContainsLine
 from demroots.datumio import parse_datum
-from demroots.lattice import DualVector, box_points, lattice_points
+from demroots.lattice import DualVector, Polyhedron, RankMismatch
 from demroots.search import _minimal_shift
 from demroots.spherical import ColorSubset, chart, full_cone
-from demroots.toric import enumerate_demazure_roots, ray_root_points
+from demroots.toric import enumerate_demazure_roots, root_polyhedron
 
 from conftest import demazure_box_oracle, dot, random_pointed_cone
 
@@ -52,45 +53,61 @@ def _corner_rows(rank):
             ([], [(e0, 1), (ones, 1)])]
 
 
-def test_lattice_points_match_box_scan():
-    rnd = random.Random(11)
+def _cases(seed, count):
+    """(rank, bound, ge, eq): seeded random systems of rank 1-5, then the
+    corner rows at bounds 0, 1 and the rank's scan bound."""
+    rnd = random.Random(seed)
     cases = []
-    for _ in range(500):
+    for _ in range(count):
         rank = rnd.randint(1, 5)
         cases.append((rank, rnd.randint(0, SCAN_BOUND[rank]),
                       _rows(rnd, rank, 4, 3), _rows(rnd, rank, 2, 2)))
-    cases += [(rank, bound, ge, eq) for rank in SCAN_BOUND
-              for bound in sorted({0, 1, SCAN_BOUND[rank]})
-              for ge, eq in _corner_rows(rank)]
-    for rank, bound, ge, eq in cases:
-        want = sorted((x for x in box(rank, bound)
-                       if all(dot(a, x) >= b for a, b in ge)
-                       and all(dot(c, x) == d for c, d in eq)), key=key)
-        assert list(lattice_points(rank, bound, ge, eq)) == want, (rank, bound, ge, eq)
+    return cases + [(rank, bound, ge, eq) for rank in SCAN_BOUND
+                    for bound in sorted({0, 1, SCAN_BOUND[rank]})
+                    for ge, eq in _corner_rows(rank)]
 
 
-def test_box_points_match_box_scan():
-    rnd = random.Random(12)
-    cases = []
-    for _ in range(250):
-        rank = rnd.randint(1, 5)
-        lo = [rnd.randint(-3, 1) for _ in range(rank)]
-        hi = [a + rnd.randint(-1, SCAN_BOUND[rank]) for a in lo]
-        cases.append((lo, hi, _rows(rnd, rank, 4, 3)))
-    # Boxes of one point, the origin among them, and rows the origin fails.
-    cases += [(lo, lo, ge) for rank in SCAN_BOUND for lo in ([0] * rank, [1] * rank)
-              for ge, eq in _corner_rows(rank) if not eq]
-    cases += [([-1] * rank, [1] * rank, ge) for rank in SCAN_BOUND
-              for ge, eq in _corner_rows(rank) if not eq]
-    for lo, hi, ge in cases:
-        want = [x for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-                if all(dot(a, x) >= b for a, b in ge)]
-        assert box_points(lo, hi, ge) == want, (lo, hi, ge)
+def _scan(rank, bound, ge, eq):
+    """The points of the box satisfying every row, in lex order."""
+    return [x for x in box(rank, bound)
+            if all(dot(a, x) >= b for a, b in ge) and all(dot(c, x) == d for c, d in eq)]
 
 
-def test_lattice_points_rejects_negative_bound():
-    with pytest.raises(ValueError, match="nonnegative"):
-        next(lattice_points(2, -1))
+def test_points_match_box_scan():
+    for rank, bound, ge, eq in _cases(11, 500):
+        want = sorted(_scan(rank, bound, ge, eq), key=key)
+        assert list(Polyhedron(rank, ge, eq).points(bound)) == want, (rank, bound, ge, eq)
+
+
+def test_cube_matches_box_scan():
+    for rank, bound, ge, eq in _cases(12, 250):
+        assert Polyhedron(rank, ge, eq).cube(bound) == _scan(rank, bound, ge, eq), \
+            (rank, bound, ge, eq)
+
+
+def test_points_sorted_are_the_cube():
+    """The two orders of the one walk list the same points."""
+    for rank, bound, ge, eq in _cases(13, 250):
+        P = Polyhedron(rank, ge, eq)
+        assert sorted(P.points(bound)) == P.cube(bound), (rank, bound, ge, eq)
+
+
+def test_polyhedron_rejects_negative_bound():
+    P = Polyhedron(2, ge=[((1, 0), 0)])
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+        next(P.points(-1))
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+        P.cube(-1)
+
+
+@pytest.mark.parametrize("rank, ge, eq", [(2, [], [((0, 0, 1), 1)]),
+                                          (3, [((1, 0), 1)], [])],
+                         ids=["long eq row", "short ge row"])
+def test_rows_of_another_length_refused(rank, ge, eq):
+    """A row longer than the rank used to be read in part, and a shorter one
+    raised IndexError in the walk; both are refused at construction."""
+    with pytest.raises(RankMismatch, match="rank mismatch"):
+        Polyhedron(rank, ge, eq)
 
 
 def _random_cones(seed, count):
@@ -118,9 +135,9 @@ def test_demazure_roots_match_box_scan_with_order():
 
 
 def test_minimal_root_matches_box_scan():
-    """find_witness takes the first root that ray_root_points yields."""
+    """find_witness takes the first root that root_polyhedron's points yield."""
     def first_root(cone, rho, bound):
-        return next(ray_root_points(cone, rho, bound), None)
+        return next(root_polyhedron(cone, rho).points(bound), None)
 
     hit_at_bound = none_found = 0
     for cone, gens in _random_cones(7, 40):

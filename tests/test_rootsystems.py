@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from demroots.datumio import parse_datum
-from demroots.lattice import DualVector, LatticeVector, pairing
+from demroots.lattice import DualVector, LatticeVector, RankMismatch, pairing
 from demroots.rootsystems import (RootSystem, _finite_type, cartan_matrix_of_type,
                                   levi_positive_roots, nilradical_highest_weights,
                                   nilradical_roots, root_system,
@@ -133,6 +133,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             root_system([LatticeVector((2,), lattice="M")],
                         [DualVector((1,), lattice="X(T)")], 1)
+
+    @pytest.mark.parametrize("side", ["roots", "coroots"])
+    def test_vectors_checked_on_their_side(self, side):
+        """Simple roots are LatticeVectors, coroots DualVectors, both in X(T)
+        and of the ambient rank."""
+        def call(cls, lattice, rank):
+            v = (2,) + (0,) * (rank - 1)
+            roots = [cls(v, lattice) if side == "roots" else xt(2, 0)]
+            coroots = [cls(v, lattice) if side == "coroots"
+                       else DualVector((1, 0), lattice="X(T)")]
+            return root_system(roots, coroots, 2)
+
+        right = LatticeVector if side == "roots" else DualVector
+        wrong = DualVector if side == "roots" else LatticeVector
+        with pytest.raises(TypeError):
+            call(wrong, "X(T)", 2)
+        with pytest.raises(RankMismatch, match="different lattices"):
+            call(right, "M", 2)
+        with pytest.raises(RankMismatch, match="rank mismatch"):
+            call(right, "X(T)", 3)
 
     def test_rank_messages_come_first(self):
         # The ranks run only when the Cartan matrix is singular; the messages

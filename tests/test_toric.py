@@ -145,6 +145,10 @@ class TestEnumeration:
     def test_zero_cone_has_no_roots(self):
         cone = build_cone([], rank=2)
         assert enumerate_demazure_roots(cone, 3) == ()
+        # It builds no polyhedron, and still refuses a negative bound.
+        for c in (cone, QUADRANT):
+            with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+                enumerate_demazure_roots(c, -1)
 
 
 class TestAlgebraElement:
