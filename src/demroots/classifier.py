@@ -26,11 +26,10 @@ the G-stable case and the excluded-color case.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import LatticeVector, DualVector
+from .lattice import LatticeVector, DualVector, _Frozen
 from .spherical import Chart, ColorSubset, DatumError, SphericalDatum, chart
 from .toric import demazure_ray
 
@@ -41,8 +40,7 @@ TOROIDAL = "toroidal"
 BLURRING = "blurring"
 
 
-@dataclass(frozen=True)
-class LndDescriptor:
+class LndDescriptor(_Frozen):
     """One basis element of the weight-mu derivation space.
 
     kind "unipotent": coefficient * f_{mu - root} delta_root, with root the
@@ -51,30 +49,27 @@ class LndDescriptor:
     along the ray; root is None and ray is the pinned extremal functional.
     """
 
-    weight: LatticeVector
-    kind: str
-    root: Optional[LatticeVector] = None
-    ray: Optional[DualVector] = None
-    coefficient: Fraction = Fraction(1)
+    __slots__ = ("weight", "kind", "root", "ray", "coefficient")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        if self.kind == "unipotent":
-            if self.root is None or self.ray is not None:
+    def __init__(self, weight: LatticeVector, kind: str, root: Optional[LatticeVector] = None,
+                 ray: Optional[DualVector] = None, coefficient: Fraction = Fraction(1)):
+        if kind == "unipotent":
+            if root is None or ray is not None:
                 raise ValueError("unipotent descriptor needs a root and no ray")
-        elif self.kind == "toric":
-            if self.root is not None or self.ray is None:
+        elif kind == "toric":
+            if root is not None or ray is None:
                 raise ValueError("toric descriptor needs a ray and no root")
         else:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        self._set(weight, kind, root, ray, Fraction(coefficient))
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    subtype: Optional[str] = None
-    moved_divisor: Optional[str] = None
-    candidates: tuple = ()
+class Classification(_Frozen):
+    __slots__ = ("verdict", "subtype", "moved_divisor", "candidates")
+
+    def __init__(self, verdict: str, subtype: Optional[str] = None,
+                 moved_divisor: Optional[str] = None, candidates: tuple = ()):
+        self._set(verdict, subtype, moved_divisor, candidates)
 
 
 def congruent_summand_weights(datum: SphericalDatum, mu: LatticeVector) -> tuple:

@@ -24,13 +24,13 @@ holds over _ZONOTOPE_CAP points are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .lattice import (
     DualVector,
     LatticeVector,
     Sublattice,
+    _Frozen,
     _bareiss,
     _echelon,
     _lift,
@@ -109,8 +109,7 @@ def _dual_v_representation(functionals: Sequence[tuple], rank: int):
     return units, section, tuple(rows), tuple(sorted(y for y, _ in rays))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Frozen):
     """A strictly convex rational polyhedral cone in the dual lattice N.
 
     generators may be redundant; extremal_rays and facet_normals are computed,
@@ -118,17 +117,19 @@ class Cone:
     exactly: x is in the cone iff <normal, x> >= 0 for every normal (equations
     cutting out the span appear as +/- pairs). build_cone also keeps the dual
     cone's quotient by its lineality, as _dual_v_representation returns it,
-    for dual_monoid.
+    for dual_monoid. Equality reads rank, generators and lattice.
     """
 
-    rank: int
-    generators: tuple
-    extremal_rays: tuple = field(compare=False)
-    facet_normals: tuple = field(compare=False)
-    dual_rays: tuple = field(compare=False, repr=False)
-    dual_lineality: tuple = field(compare=False, repr=False)
-    lattice: str = "M"
-    _quotient: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("rank", "generators", "extremal_rays", "facet_normals", "dual_rays",
+                 "dual_lineality", "lattice", "_quotient")
+    _compared = ("rank", "generators", "lattice")
+    _shown = ("rank", "generators", "extremal_rays", "facet_normals", "lattice")
+
+    def __init__(self, rank: int, generators: tuple, extremal_rays: tuple,
+                 facet_normals: tuple, dual_rays: tuple, dual_lineality: tuple,
+                 lattice: str = "M", _quotient: tuple = None):
+        self._set(rank, generators, extremal_rays, facet_normals, dual_rays, dual_lineality,
+                  lattice, _quotient)
 
     def contains(self, v: DualVector) -> bool:
         _require(v, DualVector, self.lattice, self.rank)
@@ -195,14 +196,15 @@ def on_nonnegative_ray(v: DualVector, rho: DualVector) -> bool:
     return primitive_tuple(v.coords) == primitive_tuple(rho.coords)
 
 
-@dataclass(frozen=True)
-class WeightMonoid:
+class WeightMonoid(_Frozen):
     """The monoid of dual-cone lattice points, in the sublattice when one is
     given, with its minimal generating set."""
 
-    cone: Cone
-    hilbert_basis: tuple
-    sublattice: Optional[Sublattice] = None
+    __slots__ = ("cone", "hilbert_basis", "sublattice")
+
+    def __init__(self, cone: Cone, hilbert_basis: tuple,
+                 sublattice: Optional[Sublattice] = None):
+        self._set(cone, hilbert_basis, sublattice)
 
     def contains(self, lam: LatticeVector) -> bool:
         return self.cone.dual_contains(lam) and (

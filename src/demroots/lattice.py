@@ -1,5 +1,7 @@
 """Exact integer lattice arithmetic: tagged vectors, pairings, echelon forms,
 and Polyhedron, whose one walk lists the lattice points of a system of rows.
+_Frozen, the base of every value class in the package, makes them immutable
+slotted classes with equality, hash, repr and pickling over their fields.
 
 Everything here is plain ``int`` arithmetic (arbitrary precision); no floats are
 used anywhere in the package. Vectors carry their side of the pairing (a
@@ -19,13 +21,60 @@ its run on the transpose, the Smith normal form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
 class RankMismatch(ValueError):
     """Raised when two vectors of different rank (or lattice) are combined."""
+
+
+class _Frozen:
+    """An immutable value of the fields a subclass lists in __slots__, which
+    its __init__ sets in order with _set (the hottest with object.__setattr__).
+    _fields are the constructor's arguments, in order, and default to the
+    slots; _compared, the fields equality and hash read, and _shown, those the
+    repr shows, default to _fields. Equality holds only within one class, the
+    hash is that of the tuple of compared fields, and copies and pickles
+    rebuild through __init__, so no stored derived field outlives a process.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        fields = own.get("_fields") or own.get("__slots__")
+        if fields:
+            cls._fields = fields
+            cls._shown = own.get("_shown", fields)
+            compared = own.get("_compared", fields)
+            get = operator.attrgetter(*compared)
+            cls._key = property(get if len(compared) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
 def _as_int_tuple(coords) -> tuple:
@@ -53,28 +102,35 @@ def _require_sublattice(sub, lattice: str, rank: int) -> None:
                            f"does not match a cone over {lattice!r} of rank {rank}")
 
 
-@dataclass(frozen=True)
-class _Vector:
+class _Vector(_Frozen):
     """Integer coordinates tagged with the name of their lattice.
 
     The two subclasses below tell the sides of a pairing apart; arithmetic
-    returns the class of its left operand, and the dataclass equality never
-    equates vectors of different classes.
+    returns the class of its left operand, and equality never equates vectors
+    of different classes.
     """
 
-    coords: tuple
-    lattice: str = "M"
+    __slots__ = ("coords", "lattice")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_int_tuple(self.coords))
+    def __init__(self, coords: tuple, lattice: str = "M"):
+        object.__setattr__(self, "coords", _as_int_tuple(coords))
+        object.__setattr__(self, "lattice", lattice)
 
     @classmethod
     def _trusted(cls, coords: tuple, lattice: str):
         """A vector of an int tuple the caller has built: no re-validation."""
         v = object.__new__(cls)
-        object.__setattr__(v, "coords", coords)  # no per-instance __dict__ made
+        object.__setattr__(v, "coords", coords)
         object.__setattr__(v, "lattice", lattice)
         return v
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.lattice == other.lattice
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.lattice))
 
     @property
     def rank(self) -> int:
@@ -106,6 +162,8 @@ class _Vector:
 class LatticeVector(_Vector):
     """A point of a lattice, e.g. a weight in M or a character in X(T)."""
 
+    __slots__ = ()
+
 
 class DualVector(_Vector):
     """An integral functional on the lattice named by ``lattice``.
@@ -113,6 +171,8 @@ class DualVector(_Vector):
     Valuation vectors kappa(D) and cone ray generators are DualVectors; weights
     are LatticeVectors. The pairing below only accepts a matching pair.
     """
+
+    __slots__ = ()
 
 
 def pairing(rho: DualVector, lam: LatticeVector) -> int:
@@ -133,24 +193,21 @@ def _require_bound(bound: int) -> None:
         raise ValueError(f"bound must be nonnegative, got {bound}")
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(_Frozen):
     """The points x of Z^rank (rank >= 1) with a.x >= b for (a, b) in ge and
     c.x = d for (c, d) in eq. The rows are built once, each equation as the
     pair c.x >= d, -c.x >= -d, whose two cuts at a coordinate are exactly the
     equation's; one walk of a cube [-s, s]^rank lists the points."""
 
-    rank: int
-    ge: Sequence = ()
-    eq: Sequence = ()
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("rank", "ge", "eq", "_rows")
+    _fields = ("rank", "ge", "eq")
 
-    def __post_init__(self):
-        rows = [(tuple(a), b) for a, b in self.ge]
-        rows += [row for c, d in self.eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
-        if any(len(a) != self.rank for a, _ in rows):
-            raise RankMismatch(f"rank mismatch: every row must have length {self.rank}")
-        object.__setattr__(self, "_rows", tuple(rows))
+    def __init__(self, rank: int, ge: Sequence = (), eq: Sequence = ()):
+        rows = [(tuple(a), b) for a, b in ge]
+        rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
+        if any(len(a) != rank for a, _ in rows):
+            raise RankMismatch(f"rank mismatch: every row must have length {rank}")
+        self._set(rank, ge, eq, tuple(rows))
 
     def points(self, bound: int):
         """The points of sup-norm at most bound in (sup-norm, 1-norm, lex) order, one
@@ -362,8 +419,7 @@ def _bareiss(matrix):
     return rows, pivots
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(_Frozen):
     """A finite-rank subgroup of Z^ambient_rank given by independent basis rows.
 
     The rows are reduced once by _transform; _solver keeps the last pivot det,
@@ -374,22 +430,19 @@ class Sublattice:
     coordinates are then num // det.
     """
 
-    ambient_rank: int
-    basis_rows: tuple
-    lattice: str = "X(T)"
-    _solver: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("ambient_rank", "basis_rows", "lattice", "_solver")
+    _fields = ("ambient_rank", "basis_rows", "lattice")
 
-    def __post_init__(self):
-        rows = tuple(_as_int_tuple(r) for r in self.basis_rows)
-        object.__setattr__(self, "basis_rows", rows)
-        if any(len(r) != self.ambient_rank for r in rows):
+    def __init__(self, ambient_rank: int, basis_rows: tuple, lattice: str = "X(T)"):
+        rows = tuple(_as_int_tuple(r) for r in basis_rows)
+        if any(len(r) != ambient_rank for r in rows):
             raise ValueError("basis row length does not match ambient rank")
-        det, transform = _transform(rows, self.ambient_rank)
-        if any(c >= self.ambient_rank for c in transform):
+        det, transform = _transform(rows, ambient_rank)
+        if any(c >= ambient_rank for c in transform):
             raise ValueError("basis rows are not linearly independent")
-        object.__setattr__(self, "_solver", (
-            det, tuple(transform), tuple(zip(*transform.values())),
-            tuple(tuple(r[j] for r in rows) for j in range(self.ambient_rank))))
+        solver = (det, tuple(transform), tuple(zip(*transform.values())),
+                  tuple(tuple(r[j] for r in rows) for j in range(ambient_rank)))
+        self._set(ambient_rank, rows, lattice, solver)
 
     @classmethod
     def full(cls, rank: int, lattice: str = "X(T)") -> "Sublattice":

@@ -19,10 +19,9 @@ columns of the Cartan matrix, padded with zeros for central torus directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .lattice import DualVector, LatticeVector, _bareiss, _require, matrix_rank, pairing
+from .lattice import DualVector, LatticeVector, _Frozen, _bareiss, _require, matrix_rank, pairing
 
 
 def cartan_matrix_of_type(letter: str, rank: int):
@@ -112,16 +111,19 @@ def _find(component, i):
     return i
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A finite root system realized inside X(T) = Z^ambient_rank."""
+class RootSystem(_Frozen):
+    """A finite root system realized inside X(T) = Z^ambient_rank; equality reads
+    the ambient rank and the simple roots and coroots."""
 
-    ambient_rank: int
-    simple_roots: tuple
-    simple_coroots: tuple
-    positive_roots: tuple = field(compare=False)
-    coefficients: tuple = field(compare=False, repr=False)
-    _raising: tuple = field(compare=False, repr=False)  # bit i: beta + alpha_i is a root
+    __slots__ = ("ambient_rank", "simple_roots", "simple_coroots", "positive_roots",
+                 "coefficients", "_raising")  # _raising: bit i, beta + alpha_i is a root
+    _compared = ("ambient_rank", "simple_roots", "simple_coroots")
+    _shown = _compared + ("positive_roots",)
+
+    def __init__(self, ambient_rank: int, simple_roots: tuple, simple_coroots: tuple,
+                 positive_roots: tuple, coefficients: tuple, _raising: tuple):
+        self._set(ambient_rank, simple_roots, simple_coroots, positive_roots, coefficients,
+                  _raising)
 
     @property
     def semisimple_rank(self) -> int:

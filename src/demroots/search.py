@@ -21,10 +21,9 @@ the record), matching the cone machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import DualVector, LatticeVector, Polyhedron, primitive
+from .lattice import DualVector, LatticeVector, Polyhedron, _Frozen, primitive
 from .spherical import ColorSubset, SphericalDatum, chart
 from .toric import root_polyhedron
 
@@ -35,32 +34,29 @@ WITNESS = "witness"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RayCheck:
-    divisor: str
-    status: str
-    ray: Optional[DualVector] = None
-    sharing: tuple = ()
-    reason: str = ""
+class RayCheck(_Frozen):
+    __slots__ = ("divisor", "status", "ray", "sharing", "reason")
+
+    def __init__(self, divisor: str, status: str, ray: Optional[DualVector] = None,
+                 sharing: tuple = (), reason: str = ""):
+        self._set(divisor, status, ray, sharing, reason)
 
 
-@dataclass(frozen=True)
-class MoveWitness:
-    divisor: str
-    ray: DualVector
-    mu: LatticeVector
-    shift: LatticeVector
-    family: str
+class MoveWitness(_Frozen):
+    __slots__ = ("divisor", "ray", "mu", "shift", "family")
+
+    def __init__(self, divisor: str, ray: DualVector, mu: LatticeVector,
+                 shift: LatticeVector, family: str):
+        self._set(divisor, ray, mu, shift, family)
 
 
-@dataclass(frozen=True)
-class MoveReport:
-    divisor: str
-    check: RayCheck
-    status: str
-    witness: Optional[MoveWitness] = None
-    # inconclusive only: (what was not found, lowest, highest sup-norm searched)
-    searched: Optional[tuple] = None
+class MoveReport(_Frozen):
+    # searched, inconclusive only: (what was not found, lowest, highest sup-norm searched)
+    __slots__ = ("divisor", "check", "status", "witness", "searched")
+
+    def __init__(self, divisor: str, check: RayCheck, status: str,
+                 witness: Optional[MoveWitness] = None, searched: Optional[tuple] = None):
+        self._set(divisor, check, status, witness, searched)
 
 
 def check_divisor_ray(datum: SphericalDatum, name: str) -> RayCheck:

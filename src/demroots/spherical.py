@@ -20,12 +20,11 @@ Levi and summand table are each built on first use and read by the functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
 from .cones import Cone, ContainsLine, WeightMonoid, build_cone, dual_monoid, on_nonnegative_ray
-from .lattice import DualVector, Sublattice
+from .lattice import DualVector, Sublattice, _Frozen
 from .rootsystems import RootSystem, nilradical_highest_weights
 
 COLOR = "color"
@@ -39,69 +38,63 @@ class DatumError(ValueError):
     """A record violates the contract of the operation it was passed to."""
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(_Frozen):
     """One B-stable prime divisor with its valuation vector kappa."""
 
-    name: str
-    kappa: DualVector
-    kind: str
-    color_type: Optional[str] = None
-    moved_by: frozenset = frozenset()
+    __slots__ = ("name", "kappa", "kind", "color_type", "moved_by")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moved_by", frozenset(self.moved_by))
-        if not self.name:
+    def __init__(self, name: str, kappa: DualVector, kind: str,
+                 color_type: Optional[str] = None, moved_by: frozenset = frozenset()):
+        moved_by = frozenset(moved_by)
+        if not name:
             raise DatumError("divisor name must be nonempty")
-        if self.kind == COLOR:
-            if self.color_type not in COLOR_TYPES:
-                raise DatumError(
-                    f"color {self.name!r} needs a type among {COLOR_TYPES}")
-            if not self.moved_by:
-                raise DatumError(f"color {self.name!r} must be moved by a simple root")
-        elif self.kind == G_STABLE:
-            if self.color_type is not None:
-                raise DatumError(f"G-stable divisor {self.name!r} cannot carry a color type")
-            if self.moved_by:
-                raise DatumError(f"G-stable divisor {self.name!r} cannot be moved by simple roots")
+        if kind == COLOR:
+            if color_type not in COLOR_TYPES:
+                raise DatumError(f"color {name!r} needs a type among {COLOR_TYPES}")
+            if not moved_by:
+                raise DatumError(f"color {name!r} must be moved by a simple root")
+        elif kind == G_STABLE:
+            if color_type is not None:
+                raise DatumError(f"G-stable divisor {name!r} cannot carry a color type")
+            if moved_by:
+                raise DatumError(f"G-stable divisor {name!r} cannot be moved by simple roots")
         else:
-            raise DatumError(f"unknown divisor kind {self.kind!r}")
+            raise DatumError(f"unknown divisor kind {kind!r}")
+        self._set(name, kappa, kind, color_type, moved_by)
 
     def is_color(self) -> bool:
         return self.kind == COLOR
 
 
-@dataclass(frozen=True)
-class SphericalDatum:
-    """A record; its hash is computed once, since records key the chart cache below."""
+class SphericalDatum(_Frozen):
+    """A record; its hash is computed once, since records key the chart cache
+    below, and a copy or pickle computes it afresh."""
 
-    root_system: RootSystem
-    weight_lattice: Sublattice
-    divisors: tuple
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("root_system", "weight_lattice", "divisors", "_hash")
+    _fields = ("root_system", "weight_lattice", "divisors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        if self.weight_lattice.lattice != "X(T)":
+    def __init__(self, root_system: RootSystem, weight_lattice: Sublattice, divisors: tuple):
+        divisors = tuple(divisors)
+        if weight_lattice.lattice != "X(T)":
             raise DatumError("the weight lattice must be a sublattice of X(T)")
-        if self.weight_lattice.ambient_rank != self.root_system.ambient_rank:
+        if weight_lattice.ambient_rank != root_system.ambient_rank:
             raise DatumError("weight lattice and root system have different ambient ranks")
-        names = [d.name for d in self.divisors]
+        names = [d.name for d in divisors]
         if len(set(names)) != len(names):
             raise DatumError("divisor names must be distinct")
-        r = self.weight_lattice.rank
-        for d in self.divisors:
+        r = weight_lattice.rank
+        for d in divisors:
             if d.kappa.rank != r:
                 raise DatumError(
                     f"kappa of {d.name!r} has rank {d.kappa.rank}, expected {r}")
             if d.kappa.lattice != "M":
                 raise DatumError(f"kappa of {d.name!r} must be a functional on M")
-            bad = [i for i in d.moved_by if not (0 <= i < self.root_system.semisimple_rank)]
+            bad = [i for i in d.moved_by if not (0 <= i < root_system.semisimple_rank)]
             if bad:
                 raise DatumError(
                     f"divisor {d.name!r} moved by unknown simple roots {sorted(bad)}")
-        object.__setattr__(self, "_hash",
-                           hash((self.root_system, self.weight_lattice, self.divisors)))
+        self._set(root_system, weight_lattice, divisors,
+                  hash((root_system, weight_lattice, divisors)))
 
     @property
     def rank(self) -> int:
@@ -126,27 +119,31 @@ class SphericalDatum:
             f"no divisor named {name!r}; known: {[d.name for d in self.divisors]}")
 
 
-@dataclass(frozen=True)
-class ColorSubset:
+class ColorSubset(_Frozen):
     """The set of colors removed from the variety when passing to the open chart.
 
     Either every color is removed (excluded_color None) or all but one color of
     type T stays removed; no other shapes are admissible.
     """
 
-    excluded_color: Optional[str] = None
+    __slots__ = ("excluded_color",)
+
+    def __init__(self, excluded_color: Optional[str] = None):
+        self._set(excluded_color)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Frozen):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
+class ValidationReport(_Frozen):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self._set(checks)
 
     @property
     def ok(self) -> bool:
@@ -190,15 +187,17 @@ def validate(datum: SphericalDatum) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Frozen):
     """The open chart of a record left when the colors ``removed`` are taken
     away: its divisors are the record's others, in record order. Its cone,
-    weight monoid, Levi and summand table are each built on first use."""
+    weight monoid, Levi and summand table are each built on first use, in the
+    instance __dict__ that only this value class keeps."""
 
-    datum: SphericalDatum
-    removed: tuple
-    divisors: tuple
+    __slots__ = ("datum", "removed", "divisors", "__dict__")
+    _fields = ("datum", "removed", "divisors")
+
+    def __init__(self, datum: SphericalDatum, removed: tuple, divisors: tuple):
+        self._set(datum, removed, divisors)
 
     @cached_property
     def cone(self) -> Cone:

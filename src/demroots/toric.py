@@ -11,13 +11,12 @@ t gives a polynomial automorphism with binomial coefficients.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional
 
 from .cones import Cone
-from .lattice import DualVector, LatticeVector, Polyhedron, Sublattice, _require, \
+from .lattice import DualVector, LatticeVector, Polyhedron, Sublattice, _Frozen, _require, \
     _require_bound, _require_sublattice, dot, pairing
 
 
@@ -40,29 +39,25 @@ def demazure_ray(cone: Cone, mu: LatticeVector) -> Optional[DualVector]:
     return found
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(_Frozen):
     """A root mu of a cone together with its distinguished ray rho."""
 
-    mu: LatticeVector
-    rho: DualVector
-    cone: Cone
+    __slots__ = ("mu", "rho", "cone")
 
-    def __post_init__(self):
-        rho = demazure_ray(self.cone, self.mu)
-        if rho is None:
-            raise ValueError(f"{self.mu.coords} is not a Demazure root of the cone")
-        if rho != self.rho:
+    def __init__(self, mu: LatticeVector, rho: DualVector, cone: Cone):
+        found = demazure_ray(cone, mu)
+        if found is None:
+            raise ValueError(f"{mu.coords} is not a Demazure root of the cone")
+        if found != rho:
             raise ValueError(
-                f"ray mismatch: root {self.mu.coords} belongs to ray {rho.coords}")
+                f"ray mismatch: root {mu.coords} belongs to ray {found.coords}")
+        self._set(mu, rho, cone)
 
     @classmethod
     def _on_ray(cls, mu: LatticeVector, rho: DualVector, cone: Cone) -> "DemazureRoot":
         """A root whose ray rho the caller has already found: no second scan."""
         root = object.__new__(cls)
-        object.__setattr__(root, "mu", mu)
-        object.__setattr__(root, "rho", rho)
-        object.__setattr__(root, "cone", cone)
+        root._set(mu, rho, cone)
         return root
 
 
@@ -99,8 +94,7 @@ def enumerate_demazure_roots(cone: Cone, bound: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Frozen):
     """A finite rational combination of basis monomials f_lambda.
 
     terms is a canonically sorted tuple of (weight, coefficient) pairs with all
@@ -108,7 +102,10 @@ class AlgebraElement:
     f_lambda * f_mu = f_{lambda+mu}, extended bilinearly.
     """
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, mapping) -> "AlgebraElement":
@@ -222,18 +219,17 @@ def nilpotency_index(root: DemazureRoot, lam: LatticeVector) -> int:
     return pairing(root.rho, lam) + 1
 
 
-@dataclass(frozen=True)
-class FlowPolynomial:
+class FlowPolynomial(_Frozen):
     """A polynomial in the flow parameter t with AlgebraElement coefficients.
 
     coefficients[k] multiplies t^k; trailing zero coefficients are stripped, so
     the zero polynomial has no coefficients at all.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = list(self.coefficients)
+    def __init__(self, coefficients: tuple):
+        coeffs = list(coefficients)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

@@ -2,9 +2,12 @@
 
 Each test starts a fresh interpreter on this checkout and reads the modules it
 loaded, either from `-X importtime` (which lists every import of the process)
-or from `sys.modules`.
+or from `sys.modules`. No subcommand loads `dataclasses` or the `inspect` it
+imports: the value classes are plain slotted classes, and an AST guard keeps
+every module of the package off `dataclasses`.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,6 +23,7 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 RECORD = {"lattice", "cones", "rootsystems", "spherical", "datumio"}
 PLAIN_CONE = {"lattice", "cones", "toric"}
+NOT_COLD = {"dataclasses", "inspect"}
 
 
 def fresh(*args):
@@ -52,22 +56,30 @@ def library(names):
 
 @pytest.mark.parametrize("argv, loads, skips, stdlib_skips", [
     (("validate", "data/torus-skew.json"),
-     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"}),
+     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"} | NOT_COLD),
     (("monoid", "data/sl2-times-torus.json"),
-     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"}),
+     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"} | NOT_COLD),
     (("omega", "data/sl2-times-torus.json"),
-     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"}),
+     RECORD, {"toric", "classifier", "search", "catalog"}, {"fractions"} | NOT_COLD),
     (("roots", "--cone", "1,0;1,2", "--bound", "3"),
      PLAIN_CONE, {"spherical", "rootsystems", "datumio", "classifier", "search", "catalog"},
-     {"json"}),
+     {"json"} | NOT_COLD),
     (("exp", "--cone", "1,0;0,1", "--root=-1,0", "--term", "1/2:1,0"),
      PLAIN_CONE, {"spherical", "rootsystems", "datumio", "classifier", "search", "catalog"},
-     {"json"}),
+     {"json"} | NOT_COLD),
 ])
 def test_subcommand_loads_only_its_modules(argv, loads, skips, stdlib_skips, at_startup):
     loaded = loaded_by(*argv)
     assert library(loads) <= loaded
     assert not (library(skips) | (stdlib_skips - at_startup)) & loaded
+
+
+def test_no_module_imports_dataclasses():
+    found = [(path.name, node.lineno) for path in sorted(Path(SRC, "demroots").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+    assert not found, found
 
 
 @pytest.mark.parametrize("argv", [
@@ -77,10 +89,11 @@ def test_subcommand_loads_only_its_modules(argv, loads, skips, stdlib_skips, at_
     ("move-divisor", "data/torus-quadrant.json", "--divisor", "axis-x"),
     ("report-gstable", "data/torus-space.json", "--format", "json"),
 ])
-def test_no_subcommand_loads_the_catalog(argv):
+def test_no_subcommand_loads_the_catalog(argv, at_startup):
     loaded = loaded_by(*argv)
     assert "demroots.spherical" in loaded
     assert "demroots.catalog" not in loaded
+    assert not (NOT_COLD - at_startup) & loaded
 
 
 def test_package_import_defers_its_modules():

@@ -1,8 +1,12 @@
-import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import demroots
 from demroots.catalog import CATALOG, example
 from demroots.lattice import DualVector, LatticeVector, Sublattice, smith_normal_form
 from demroots.rootsystems import standard_root_system, torus_root_system
@@ -100,11 +104,12 @@ class TestDatumHash:
 
     def test_replace_rehashes(self):
         d = SphericalDatum(*self.parts())
-        moved = dataclasses.replace(d, divisors=d.divisors[:1])
+        moved = SphericalDatum(d.root_system, d.weight_lattice, d.divisors[:1])
         assert moved != d
         assert hash(moved) == hash(SphericalDatum(d.root_system, d.weight_lattice,
                                                   d.divisors[:1]))
-        same = dataclasses.replace(d)
+        assert hash(moved) == hash((d.root_system, d.weight_lattice, d.divisors[:1]))
+        same = SphericalDatum(d.root_system, d.weight_lattice, d.divisors)
         assert same == d and hash(same) == hash(d)
 
     def test_repr_and_equality_ignore_the_stored_hash(self):
@@ -112,12 +117,36 @@ class TestDatumHash:
         d = SphericalDatum(rs, lattice, divisors)
         assert repr(d) == (f"SphericalDatum(root_system={rs!r}, "
                            f"weight_lattice={lattice!r}, divisors={tuple(divisors)!r})")
-        assert [f.name for f in dataclasses.fields(d) if f.compare] == \
-            ["root_system", "weight_lattice", "divisors"]
         other = SphericalDatum(rs, lattice, divisors)
         object.__setattr__(other, "_hash", hash(d) + 1)
         assert other == d
+        # each of the three compared fields tells records apart
+        assert d != SphericalDatum(standard_root_system("A", 2), lattice, divisors)
         assert d != SphericalDatum(rs, Sublattice.full(2), divisors)
+        assert d != SphericalDatum(rs, lattice, divisors[:1])
+
+    def test_a_record_pickled_in_another_process_hashes_afresh(self, tmp_path):
+        """String hashes are salted per process: a record pickled under one
+        PYTHONHASHSEED and loaded under another must hash like a record built
+        there, so that it finds its equal in a set and shares its chart."""
+        src = str(Path(demroots.__file__).resolve().parent.parent)
+        build = ("import pickle, sys\n"
+                 "from pathlib import Path\n"
+                 "from demroots.catalog import CATALOG\n"
+                 "from demroots.spherical import chart\n")
+
+        def run(seed, code):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", build + code, str(tmp_path / "p")],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.split()
+
+        run("1", "Path(sys.argv[1]).write_bytes(pickle.dumps(CATALOG['sl2-times-torus']))")
+        assert run("2", "p = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
+                        "f = CATALOG['sl2-times-torus']\n"
+                        "print(p == f, hash(p) == hash(f), p in {f}, "
+                        "chart(p, None) is chart(f, None))") == ["True"] * 4
 
 
 class TestValidation:
