@@ -195,19 +195,22 @@ def _require_bound(bound: int) -> None:
 
 class Polyhedron(_Frozen):
     """The points x of Z^rank (rank >= 1) with a.x >= b for (a, b) in ge and
-    c.x = d for (c, d) in eq. The rows are built once, each equation as the
-    pair c.x >= d, -c.x >= -d, whose two cuts at a coordinate are exactly the
-    equation's; one walk of a cube [-s, s]^rank lists the points."""
+    c.x = d for (c, d) in eq, kept as tuples of (int tuple, int) rows, so
+    polyhedra with the same rows are equal and hash alike. The rows are built
+    once, each equation as the pair c.x >= d, -c.x >= -d, whose two cuts at a
+    coordinate are exactly the equation's; one walk of a cube [-s, s]^rank
+    lists the points."""
 
     __slots__ = ("rank", "ge", "eq", "_rows")
     _fields = ("rank", "ge", "eq")
 
     def __init__(self, rank: int, ge: Sequence = (), eq: Sequence = ()):
-        rows = [(tuple(a), b) for a, b in ge]
-        rows += [row for c, d in eq for row in ((tuple(c), d), (tuple(-v for v in c), -d))]
+        ge = tuple([(tuple(a), b) for a, b in ge])
+        eq = tuple([(tuple(c), d) for c, d in eq])
+        rows = ge + tuple([row for c, d in eq for row in ((c, d), (tuple([-v for v in c]), -d))])
         if any(len(a) != rank for a, _ in rows):
             raise RankMismatch(f"rank mismatch: every row must have length {rank}")
-        self._set(rank, ge, eq, tuple(rows))
+        self._set(rank, ge, eq, rows)
 
     def points(self, bound: int):
         """The points of sup-norm at most bound in (sup-norm, 1-norm, lex) order, one

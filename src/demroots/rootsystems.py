@@ -8,9 +8,12 @@ the string length q = p - <beta, alpha_i^vee> is positive, where p counts how
 far the string extends backwards. The closure runs on Cartan integers (a step
 up by alpha_i adds column i of the Cartan matrix) and keeps each root's
 raising mask, the set of i with beta + alpha_i a root. The Cartan matrix is
-checked to be of finite type first (its Dynkin graph is a forest and its
-leading principal minors are positive), so the closure always terminates and
-no cap on its size is needed.
+checked to be of finite type first (its Dynkin graph is a forest and the
+pivots of eliminating it leaf by leaf are positive), so the closure always
+terminates, no cap on its size is needed, and no coefficient exceeds 6 (the
+highest root of E8). So each coefficient tuple is packed into one int key,
+8 bits per simple root below the height, and a step along a root string adds
+or subtracts a unit key.
 
 The standard constructors realize each Cartan type in fundamental-weight
 coordinates: coroots are standard basis functionals and simple roots are the
@@ -19,9 +22,10 @@ columns of the Cartan matrix, padded with zeros for central torus directions.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Optional, Sequence
 
-from .lattice import DualVector, LatticeVector, _Frozen, _bareiss, _require, matrix_rank, pairing
+from .lattice import DualVector, LatticeVector, _Frozen, _require, dot, matrix_rank
 
 
 def cartan_matrix_of_type(letter: str, rank: int):
@@ -80,15 +84,17 @@ def cartan_matrix_of_type(letter: str, rank: int):
     return tuple(tuple(row) for row in A)
 
 
-def _finite_type(A, pivots=None) -> bool:
+def _finite_type(A) -> bool:
     """Whether a GCM with the sign and zero pattern of a Cartan matrix is of
-    finite type; `pivots` are those of `_bareiss(A)` if already known.
+    finite type.
 
     Finite-type Dynkin diagrams are forests (Kac, Infinite dimensional Lie
     algebras, ch. 4). On a forest A = DB with D positive diagonal and B
-    symmetric, so A is of finite type iff B is positive definite, that is
-    (Sylvester) iff the leading principal minors of A are positive; these are
-    the pivots of the fraction-free elimination when they sit on the diagonal.
+    symmetric, so A is of finite type iff B is positive definite, that is iff
+    the pivots of a symmetric elimination are positive, in any order. Taken
+    leaves first, eliminating a node changes only its one remaining neighbour
+    u, whose pivot drops by A[u][v] A[v][u] / p_v; pivots are kept as integer
+    (numerator, positive denominator) pairs.
     """
     n = len(A)
     component = list(range(n))  # union-find: an edge inside a component closes a cycle
@@ -99,10 +105,24 @@ def _finite_type(A, pivots=None) -> bool:
                 if a == b:
                     return False
                 component[a] = b
-    if pivots is None:
-        _, pivots = _bareiss(A)
-    return [(r, c) for r, c, _ in pivots] == [(k, k) for k in range(n)] \
-        and all(p > 0 for _, _, p in pivots)
+    neighbours = [[j for j in range(n) if j != i and A[i][j]] for i in range(n)]
+    left = [len(nb) for nb in neighbours]  # neighbours not yet eliminated
+    pivot = [(2, 1)] * n
+    leaves = [v for v in range(n) if left[v] <= 1]
+    while leaves:
+        v = leaves.pop()
+        num, den = pivot[v]
+        if num <= 0:
+            return False
+        left[v] = -1  # eliminated
+        for u in neighbours[v]:
+            if left[u] > 0:
+                un, ud = pivot[u]
+                pivot[u] = (un * num - A[u][v] * A[v][u] * den * ud, ud * num)
+                left[u] -= 1
+                if left[u] == 1:
+                    leaves.append(u)
+    return True
 
 
 def _find(component, i):
@@ -130,14 +150,16 @@ class RootSystem(_Frozen):
         return len(self.simple_roots)
 
     def coefficients_of(self, root: LatticeVector) -> tuple:
+        _require(root, LatticeVector, "X(T)", self.ambient_rank)
         for beta, coeff in zip(self.positive_roots, self.coefficients):
             if beta == root:
                 return coeff
         raise ValueError(f"{root.coords} is not a positive root")
 
     def is_root(self, v: LatticeVector) -> bool:
-        return any(beta == v for beta in self.positive_roots) or \
-            any(beta == -v for beta in self.positive_roots)
+        _require(v, LatticeVector, "X(T)", self.ambient_rank)
+        minus = -v
+        return any(beta == v or beta == minus for beta in self.positive_roots)
 
 
 def root_system(simple_roots: Sequence[LatticeVector],
@@ -153,61 +175,67 @@ def root_system(simple_roots: Sequence[LatticeVector],
         _require(v, LatticeVector, "X(T)", ambient_rank)
     for v in coroots:
         _require(v, DualVector, "X(T)", ambient_rank)
-    A = [[pairing(cv, a) for a in roots] for cv in coroots]
-    _, pivots = _bareiss(A)
-    if len(pivots) < n:  # A = C R^T, so a nonsingular A proves both independent
-        if matrix_rank([v.coords for v in roots]) != n:
+    simple = [v.coords for v in roots]
+    A = [[dot(cv.coords, a) for a in simple] for cv in coroots]
+    problem = _cartan_problem(A)
+    if problem:  # A = C R^T, and a finite-type A is nonsingular: ranks run only here
+        if matrix_rank(simple) != n:
             raise ValueError("simple roots are linearly dependent")
         if matrix_rank([v.coords for v in coroots]) != n:
             raise ValueError("simple coroots are linearly dependent")
-    for i in range(n):
-        if A[i][i] != 2:
-            raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {A[i][i]}, expected 2")
-        for j in range(n):
-            if i == j:
-                continue
-            if A[i][j] > 0:
-                raise ValueError(f"positive off-diagonal Cartan entry at ({i},{j})")
-            if (A[i][j] == 0) != (A[j][i] == 0):
-                raise ValueError(f"asymmetric zero pattern at ({i},{j})")
-    if not _finite_type(A, pivots):
-        raise ValueError("Cartan matrix is not of finite type")
+        raise ValueError(problem)
 
-    # Positive roots by height, breadth first with order as the queue. Each
-    # coefficient tuple carries its root and its Cartan integers
-    # <beta, alpha_k^vee>, and gets its raising mask.
+    # Positive roots by height, breadth first with order as the queue. A packed
+    # key has the height above the coefficients, simple root 0 highest, so
+    # keys order by height and then by coefficient tuple. Each key carries its
+    # coefficients, coordinates and Cartan integers <beta, alpha_k^vee>, and
+    # gets its raising mask.
     columns = tuple(zip(*A))
-    known = {tuple(int(j == i) for j in range(n)): (alpha, columns[i])
-             for i, alpha in enumerate(roots)}
+    unit = [(1 << 8 * n) + (1 << 8 * (n - 1 - i)) for i in range(n)]
+    eye = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    known = {unit[i]: (eye[i], simple[i], columns[i]) for i in range(n)}
     order, masks = list(known), {}
-    for coeff in order:
-        beta, cartan = known[coeff]
+    for key in order:
+        coeff, coords, cartan = known[key]
         mask = 0
-        for i in range(n):
-            p, down = 0, coeff
-            while down[i]:
-                down = down[:i] + (down[i] - 1,) + down[i + 1:]
-                if down not in known:
-                    break
-                p += 1
-            if p > cartan[i]:  # the string length q = p - <beta, alpha_i^vee> is positive
+        for i, c, a, step in zip(range(n), coeff, cartan, unit):
+            p, down = 0, key - step
+            while p < c and down in known:  # the guard keeps digit i from borrowing
+                p, down = p + 1, down - step
+            if p > a:  # the string length q = p - <beta, alpha_i^vee> is positive
                 mask |= 1 << i
-                up = coeff[:i] + (coeff[i] + 1,) + coeff[i + 1:]
-                if up not in known:
-                    known[up] = (beta + roots[i],
-                                 tuple(a + b for a, b in zip(cartan, columns[i])))
-                    order.append(up)
-        masks[coeff] = mask
+                if key + step not in known:
+                    known[key + step] = (tuple(map(add, coeff, eye[i])),
+                                         tuple(map(add, coords, simple[i])),
+                                         tuple(map(add, cartan, columns[i])))
+                    order.append(key + step)
+        masks[key] = mask
 
-    order.sort(key=lambda c: (sum(c), c))
+    order.sort()
     return RootSystem(
         ambient_rank=ambient_rank,
         simple_roots=roots,
         simple_coroots=coroots,
-        positive_roots=tuple(known[c][0] for c in order),
-        coefficients=tuple(order),
-        _raising=tuple(masks[c] for c in order),
+        positive_roots=tuple(LatticeVector._trusted(known[k][1], "X(T)") for k in order),
+        coefficients=tuple(known[k][0] for k in order),
+        _raising=tuple(masks[k] for k in order),
     )
+
+
+def _cartan_problem(A) -> Optional[str]:
+    """What keeps A from being a Cartan matrix of finite type, or None."""
+    n = len(A)
+    for i in range(n):
+        if A[i][i] != 2:
+            return f"<alpha_{i}, alpha_{i}^vee> = {A[i][i]}, expected 2"
+        for j in range(n):
+            if i == j:
+                continue
+            if A[i][j] > 0:
+                return f"positive off-diagonal Cartan entry at ({i},{j})"
+            if (A[i][j] == 0) != (A[j][i] == 0):
+                return f"asymmetric zero pattern at ({i},{j})"
+    return None if _finite_type(A) else "Cartan matrix is not of finite type"
 
 
 def standard_root_system(letter: str, rank: int,
@@ -245,9 +273,11 @@ def torus_root_system(ambient_rank: int) -> RootSystem:
 def _outside_levi(rs: RootSystem, levi) -> list:
     """The simple-root indices outside a Levi subset, once its indices are checked."""
     levi = frozenset(levi)
-    bad = [i for i in levi if not (0 <= i < rs.semisimple_rank)]
+    bad = [i for i in levi if isinstance(i, bool) or not isinstance(i, int)
+           or not 0 <= i < rs.semisimple_rank]
     if bad:
-        raise ValueError(f"invalid simple-root indices in Levi subset: {sorted(bad)}")
+        bad.sort(key=lambda i: (0, i) if type(i) is int else (1, repr(i)))
+        raise ValueError(f"invalid simple-root indices in Levi subset: {bad}")
     return [i for i in range(rs.semisimple_rank) if i not in levi]
 
 

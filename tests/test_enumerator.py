@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from demroots.cones import ContainsLine
+from demroots.cones import ContainsLine, build_cone
 from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, Polyhedron, RankMismatch
 from demroots.search import _minimal_shift
@@ -108,6 +108,21 @@ def test_rows_of_another_length_refused(rank, ge, eq):
     raised IndexError in the walk; both are refused at construction."""
     with pytest.raises(RankMismatch, match="rank mismatch"):
         Polyhedron(rank, ge, eq)
+
+
+def test_polyhedra_hash_and_compare_by_rows():
+    """Rows given as lists are stored as tuples: the root polyhedron of a
+    cone hashes, and equals a polyhedron built from its own rows."""
+    cone = build_cone([DualVector((1, 0)), DualVector((1, 2))])
+    for rho in cone.extremal_rays:
+        P = root_polyhedron(cone, rho)
+        same = Polyhedron(2, tuple(P.ge), tuple(P.eq))
+        assert P == same and hash(P) == hash(same)
+        assert P == Polyhedron(2, [(list(a), b) for a, b in P.ge],
+                               [(list(c), d) for c, d in P.eq])
+    assert repr(root_polyhedron(cone, DualVector((1, 0)))) \
+        == "Polyhedron(rank=2, ge=(((1, 2), 0),), eq=(((1, 0), -1),))"
+    assert Polyhedron(2, ge=[((1, 0), 0)]) != Polyhedron(2, ge=[((1, 0), 1)])
 
 
 def _random_cones(seed, count):

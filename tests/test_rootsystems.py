@@ -2,10 +2,11 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from demroots import lattice, rootsystems
 from demroots.datumio import parse_datum
 from demroots.lattice import DualVector, LatticeVector, RankMismatch, pairing
 from demroots.rootsystems import (RootSystem, _finite_type, cartan_matrix_of_type,
@@ -86,6 +87,27 @@ class TestRootSystemClosure:
         assert not rs.is_root(xt(2, 2))
         assert not rs.is_root(xt(0, 0))
 
+    def test_queries_check_the_vector(self):
+        rs = standard_root_system("A", 2)
+        for query in (rs.is_root, rs.coefficients_of):
+            with pytest.raises(TypeError):
+                query(DualVector((2, -1), "X(T)"))
+            with pytest.raises(RankMismatch, match="different lattices"):
+                query(LatticeVector((2, -1), "M"))
+            with pytest.raises(RankMismatch, match="rank mismatch"):
+                query(xt(2, -1, 0))
+
+    @pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 3), ("G", 2)])
+    def test_query_answers_on_valid_vectors(self, letter, rank):
+        rs = standard_root_system(letter, rank)
+        positive = {beta.coords for beta in rs.positive_roots}
+        for c in product(range(-3, 4), repeat=rank):
+            assert rs.is_root(xt(*c)) == (c in positive or tuple(-x for x in c) in positive), c
+        for beta, coeff in zip(rs.positive_roots, rs.coefficients):
+            assert rs.coefficients_of(xt(*beta.coords)) == coeff
+        with pytest.raises(ValueError, match="is not a positive root"):
+            rs.coefficients_of(-rs.positive_roots[0])
+
     def test_ambient_padding(self):
         rs = standard_root_system("A", 1, ambient_rank=3)
         assert rs.simple_roots[0].coords == (2, 0, 0)
@@ -155,8 +177,8 @@ class TestValidation:
             call(right, "X(T)", 3)
 
     def test_rank_messages_come_first(self):
-        # The ranks run only when the Cartan matrix is singular; the messages
-        # and their order must still be those of checking both ranks first.
+        # The ranks run only when a Cartan check fails; the messages and
+        # their order must still be those of checking both ranks first.
         rnd, seen = random.Random(11), set()
         for _ in range(2000):
             n = rnd.randint(1, 4)
@@ -300,9 +322,47 @@ class TestFiniteType:
             root_system(*realize(A))
 
     @pytest.mark.parametrize("letter,n,count", [
-        ("A", 25, 25 * 26 // 2), ("B", 18, 18 ** 2), ("D", 18, 18 * 17)])
+        ("A", 25, 25 * 26 // 2), ("B", 18, 18 ** 2), ("D", 18, 18 * 17),
+        ("A", 40, 820), ("B", 30, 900), ("C", 30, 900), ("D", 30, 870)])
     def test_large_systems_close(self, letter, n, count):
         assert len(standard_root_system(letter, n).positive_roots) == count
+
+    def test_leaf_elimination_pivots(self):
+        # A star with k leaves: every leaf pivot is 2 and the centre's is
+        # 2 - k/2, so it is of finite type (D4 at k = 3) only for k < 4.
+        for k in range(1, 7):
+            A = [[2 if i == j else -int(0 in (i, j)) for j in range(k + 1)]
+                 for i in range(k + 1)]
+            assert _finite_type(A) == (k < 4), k
+        # G2 has pivots 2 and 2 - 3/2; a simple bond on it (affine G2) leaves
+        # a zero pivot, whichever leaf goes first.
+        assert _finite_type(cartan_matrix_of_type("G", 2))
+        assert not _finite_type([[2, -1, 0], [-3, 2, -1], [0, -1, 2]])
+        assert not _finite_type([[2, -3, 0], [-1, 2, -1], [0, -1, 2]])
+
+    def test_valid_input_needs_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an elimination ran on valid input")
+
+        monkeypatch.setattr(lattice, "_bareiss", refuse)
+        monkeypatch.setattr(lattice, "matrix_rank", refuse)
+        monkeypatch.setattr(rootsystems, "_bareiss", refuse, raising=False)
+        monkeypatch.setattr(rootsystems, "matrix_rank", refuse)
+        for letter, rank in CARTAN_TYPES_UP_TO_RANK_8:
+            standard_root_system(letter, rank)
+            standard_root_system(letter, rank, ambient_rank=rank + 1)
+            root_system(*_changed_basis(letter, rank, random.Random(rank)))
+        with pytest.raises(AssertionError, match="elimination"):
+            root_system(*realize([[2, -2], [-2, 2]]))
+
+    def test_coefficients_fit_the_packing(self):
+        # Keys pack 8 bits per simple root; finite-type coefficients stay far
+        # below 256, at most 6 (the highest root of E8).
+        largest = max(c for letter, rank in CARTAN_TYPES_UP_TO_RANK_8
+                      for coeff in standard_root_system(letter, rank).coefficients
+                      for c in coeff)
+        assert largest == 6
+        assert standard_root_system("E", 8).coefficients[-1] == (2, 3, 4, 6, 5, 4, 3, 2)
 
     def test_record_with_a25_factor_validates(self, tmp_path):
         A = cartan_matrix_of_type("A", 25)
@@ -367,6 +427,14 @@ class TestNilradical:
         rs = standard_root_system("A", 2)
         with pytest.raises(ValueError):
             nilradical_highest_weights(rs, frozenset({5}))
+
+    @pytest.mark.parametrize("levi", [[True], [1.0], [False, 0], ["1"], [1, 5, -1, None]])
+    def test_levi_indices_must_be_ints(self, levi):
+        rs = standard_root_system("A", 2)
+        for query in (levi_positive_roots, nilradical_roots, nilradical_highest_weights):
+            with pytest.raises(ValueError, match="invalid simple-root indices"):
+                query(rs, levi)
+        assert [a.coords for a in nilradical_highest_weights(rs, [1])] == [(1, 1)]
 
 
 def _highest_weights_by_all_levi_roots(rs, levi) -> tuple:
@@ -471,7 +539,8 @@ def _assert_matches_reference(rs):
 
 class TestClosureAgainstReference:
     @pytest.mark.parametrize("letter,rank", CARTAN_TYPES_UP_TO_RANK_8
-                             + [("A", 25), ("B", 18), ("D", 18)])
+                             + [("A", 25), ("B", 18), ("D", 18),
+                                ("A", 40), ("B", 30), ("C", 30), ("D", 30)])
     def test_standard_types(self, letter, rank):
         _assert_matches_reference(standard_root_system(letter, rank))
 
